@@ -8,13 +8,17 @@ triples instead of the precomputed factorization lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache, lru_cache
+from itertools import chain, product
 
 from gsfuzz import FuzzySubset
 from gsfuzz.fuzzy import (
+    HALF,
     IN_OR_Q,
+    ONE,
     ZERO,
     FuzzyPoint,
+    PointRelation,
     critical_thresholds,
     point_satisfies,
 )
@@ -64,3 +68,128 @@ def naive_o_product(lam: FuzzySubset, mu: FuzzySubset) -> FuzzySubset:
                         best = max(best, min(lam.grades[y], mu.grades[z]))
         grades.append(best)
     return FuzzySubset(s, tuple(grades))
+
+
+def _pair_failures(mu: FuzzySubset, bound):
+    """(x, y, gamma) with mu(x gamma y) < bound(mu(x), mu(y)), in scan order."""
+    s, g = mu.structure, mu.grades
+    for x, y, c in product(range(s.n), range(s.n), range(s.k)):
+        if g[s.cayley[x][c][y]] < bound(g[x], g[y]):
+            yield (x, y, c)
+
+
+def _sandwich_failures(mu: FuzzySubset, cap):
+    """(x, y, a, z, b) with mu(x a y b z) < min(mu(x), mu(z), cap), in scan order."""
+    s, g = mu.structure, mu.grades
+    n, k = range(s.n), range(s.k)
+    for x, y, z, a, b in product(n, n, n, k, k):
+        if g[s.cayley[s.cayley[x][a][y]][b][z]] < min(g[x], g[z], cap):
+            yield (x, y, a, z, b)
+
+
+def first_closed_failure(name: str, mu: FuzzySubset) -> tuple | None:
+    """First refuting index tuple of a closed-form predicate, or None.
+
+    Checks the defining inequality at every product, with no pruning, in
+    the pinned witness order: pairs (x, y, gamma) first, then for bi-ideals
+    sandwiches (x, y, alpha, z, beta); eq-ideal is the left then the right
+    ideal scan.
+    """
+    cap = ONE if name.startswith("fuzzy") else HALF
+
+    def sub():
+        return _pair_failures(mu, lambda a, b: min(a, b, cap))
+
+    def left():
+        return _pair_failures(mu, lambda a, b: min(b, cap))
+
+    def right():
+        return _pair_failures(mu, lambda a, b: min(a, cap))
+
+    scans = {
+        "fuzzy-subsemigroup": (sub(),),
+        "fuzzy-bi-ideal": (sub(), _sandwich_failures(mu, cap)),
+        "eq-subsemigroup": (sub(),),
+        "eq-bi-ideal": (sub(), _sandwich_failures(mu, cap)),
+        "eq-left-ideal": (left(),),
+        "eq-right-ideal": (right(),),
+        "eq-ideal": (left(), right()),
+    }[name]
+    return next(chain(*scans), None)
+
+
+@lru_cache(maxsize=8)
+def _premise(mu: FuzzySubset, alpha: PointRelation) -> tuple[list, ...]:
+    """Per element x, the critical t (ascending) with x_t alpha mu."""
+    crits = critical_thresholds(mu)
+    return tuple(
+        [t for t in crits if point_satisfies(FuzzyPoint(x, t), mu, alpha)]
+        for x in range(mu.structure.n)
+    )
+
+
+def _cells(*grades) -> list:
+    """Breakpoints g, 1 - g in (0,1] and 1, plus one value inside every cell."""
+    breaks = sorted({v for g in grades for v in (g, ONE - g) if v > ZERO} | {ONE})
+    inner = {breaks[0] / 2} | {(a + b) / 2 for a, b in zip(breaks, breaks[1:])}
+    return sorted(set(breaks) | inner)
+
+
+def _first_refuting_cell(mu, alpha, beta, x: int, z: int, w: int) -> tuple:
+    """First (t, r), ascending over the cells cut by the grades of x, z and w,
+    with x_t and z_r alpha mu but not w_min(t,r) beta mu."""
+    cells = _cells(mu.grades[x], mu.grades[z], mu.grades[w])
+    return next(
+        (t, r)
+        for t in cells if point_satisfies(FuzzyPoint(x, t), mu, alpha)
+        for r in cells if point_satisfies(FuzzyPoint(z, r), mu, alpha)
+        and not point_satisfies(FuzzyPoint(w, min(t, r)), mu, beta)
+    )
+
+
+def first_alpha_beta_failure(
+    mu: FuzzySubset, alpha: PointRelation, beta: PointRelation, bi: bool
+) -> tuple | None:
+    """The first refuted (alpha, beta) implication with its witness t, r.
+
+    The position is the first (x, y, gamma), then for bi the first
+    (x, y, a, z, b), whose implication fails for some t, r swept over
+    critical_thresholds(mu); (t, r) follow it, chosen as in
+    _first_refuting_cell.  None when the predicate holds.
+    """
+    s = mu.structure
+    premise = _premise(mu, alpha)
+
+    @cache
+    def mins(x: int, z: int) -> frozenset:
+        # {min(t, r) : t in premise[x], r in premise[z]}
+        px, pz = premise[x], premise[z]
+        if not px or not pz:
+            return frozenset()
+        return frozenset([t for t in px if t <= pz[-1]] + [r for r in pz if r <= px[-1]])
+
+    @cache
+    def concludes(w: int, v) -> bool:
+        return point_satisfies(FuzzyPoint(w, v), mu, beta)
+
+    def fails(x: int, z: int, w: int) -> bool:
+        return not all(concludes(w, v) for v in mins(x, z))
+
+    n, k = range(s.n), range(s.k)
+    for x, y, c in product(n, n, k):
+        w = s.cayley[x][c][y]
+        if fails(x, y, w):
+            return (x, y, c) + _first_refuting_cell(mu, alpha, beta, x, y, w)
+    if bi:
+        for x, y, z, a, b in product(n, n, n, k, k):
+            w = s.cayley[s.cayley[x][a][y]][b][z]
+            if fails(x, z, w):
+                return (x, y, a, z, b) + _first_refuting_cell(mu, alpha, beta, x, z, w)
+    return None
+
+
+def sweep_alpha_beta(
+    mu: FuzzySubset, alpha: PointRelation, beta: PointRelation, bi: bool
+) -> bool:
+    """(alpha, beta) subsemigroup, or bi-ideal when bi, by threshold sweep."""
+    return first_alpha_beta_failure(mu, alpha, beta, bi) is None
