@@ -16,8 +16,8 @@ Row i, column j of the block under ``table g`` is the product
 (element_i g element_j).  Grades accept p/q or decimal literals, both parsed
 exactly; fuzzy lines may omit elements, which default to grade 0.
 
-Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error,
-3 invalid structure.
+Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
+all-zero fuzzy subset included), 3 invalid structure.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .errors import (
     DocumentError,
     DocumentSyntaxError,
     DuplicateName,
+    EmptyFuzzySubset,
     GsfError,
     InvalidAlpha,
     MissingTable,
-    UnknownPredicateName,
 )
 from .fuzzy import FuzzySubset
 from .predicates import PredicateVerdict, Witness, check_by_name
@@ -486,7 +486,7 @@ def run(argv: list) -> int:
     }
     try:
         code, lines = handlers[args.command](args)
-    except (DocumentError, OSError, ValueError, InvalidAlpha, UnknownPredicateName) as exc:
+    except (DocumentError, OSError, ValueError, InvalidAlpha, EmptyFuzzySubset) as exc:
         print(f"error: {exc}")
         return 2
     except GsfError as exc:

@@ -106,8 +106,8 @@ class BudgetExhausted(GsfError):
     """Rejection sampling hit its attempt cap before producing enough output."""
 
 
-class UnknownPredicateName(GsfError):
-    pass
+class UnknownPredicateName(GsfError, ValueError):
+    """A predicate name or --want expression outside the vocabulary."""
 
 
 # --------------------------------------------------------------- cli / files

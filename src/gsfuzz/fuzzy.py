@@ -176,36 +176,29 @@ def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
     return LevelSets(u, q, u | q)
 
 
-def o_product(lam: FuzzySubset, mu: FuzzySubset) -> FuzzySubset:
-    """(lam o mu)(a) = max over factorizations a = y g z of min(lam(y), mu(z)).
+def _sup_min(lam: FuzzySubset, mu: FuzzySubset, cap: Fraction) -> FuzzySubset:
+    """a -> max over factorizations a = y g z of min(lam(y), mu(z), cap).
 
     The sup is over a finite carrier, hence a max; elements with no
     factorization get 0.
     """
     s = _same_structure(lam, mu)
-    out = []
-    for pairs in s.factor_pairs:
-        best = ZERO
-        for y, z in pairs:
-            v = min(lam.grades[y], mu.grades[z])
-            if v > best:
-                best = v
-        out.append(best)
-    return FuzzySubset(s, tuple(out))
+    left = [min(g, cap) for g in lam.grades]
+    right = [min(g, cap) for g in mu.grades]
+    return FuzzySubset(s, tuple(
+        max((min(left[y], right[z]) for y, z in pairs), default=ZERO)
+        for pairs in s.factor_pairs
+    ))
+
+
+def o_product(lam: FuzzySubset, mu: FuzzySubset) -> FuzzySubset:
+    """(lam o mu)(a) = max over factorizations a = y g z of min(lam(y), mu(z))."""
+    return _sup_min(lam, mu, ONE)
 
 
 def o05_product(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
     """0.5-product: every factorization min additionally capped at 1/2."""
-    s = _same_structure(mu1, mu2)
-    out = []
-    for pairs in s.factor_pairs:
-        best = ZERO
-        for y, z in pairs:
-            v = min(mu1.grades[y], mu2.grades[z], HALF)
-            if v > best:
-                best = v
-        out.append(best)
-    return FuzzySubset(s, tuple(out))
+    return _sup_min(mu1, mu2, HALF)
 
 
 def cap05(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:

@@ -13,16 +13,18 @@ golden tests are deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
+from typing import Callable
 
-from .errors import EmptyFuzzySubset, InvalidAlpha, StructureMismatch
+from .errors import EmptyFuzzySubset, InvalidAlpha, StructureMismatch, UnknownPredicateName
 from .fuzzy import (
     HALF,
     IN,
     ONE,
-    ZERO,
     FuzzySubset,
     PointRelation,
     RelKind,
@@ -100,39 +102,74 @@ def _require_nonempty(mu: FuzzySubset) -> None:
         raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
 
 
-def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
-    """mu(x g y) >= min(mu(x), mu(y)) for all x, y, g."""
+def _capped(mu: FuzzySubset) -> list[Fraction]:
+    """min(mu(x), 1/2) per element: the bound vector of the (in, in-or-q) forms."""
     _require_nonempty(mu)
+    return [g if g < HALF else HALF for g in mu.grades]
+
+
+# The closed forms are one inequality in two shapes, both scanned in the
+# pinned witness order and skipping every product whose bound is 0:
+#   pair:     mu(x g y) >= min(left[x], right[y])
+#   sandwich: mu(x a y b z) >= min(c[x], c[z])
+# A decider only chooses its bound vectors.  The loops stay inline because
+# the witness hunts call the deciders on many tiny subsets.
+
+
+def _pair_scan(mu: FuzzySubset, left, right) -> PredicateVerdict:
     s, g = mu.structure, mu.grades
     for x in range(s.n):
+        lx = left[x]
+        if not lx:
+            continue
+        row = s.cayley[x]
         for y in range(s.n):
-            bound = min(g[x], g[y])
-            if bound == ZERO:
+            ry = right[y]
+            bound = lx if lx < ry else ry
+            if not bound:
                 continue
             for gm in range(s.k):
-                if g[s.cayley[x][gm][y]] < bound:
+                if g[row[gm][y]] < bound:
                     return PredicateVerdict(False, Witness(x, y, gm))
     return _TRUE
 
 
-def is_fuzzy_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
-    """Fuzzy subsemigroup with mu(x a y b z) >= min(mu(x), mu(z))."""
-    first = is_fuzzy_subsemigroup(mu)
-    if not first.holds:
-        return first
+def _sandwich_scan(mu: FuzzySubset, c) -> PredicateVerdict:
     s, g = mu.structure, mu.grades
+    cayley = s.cayley
     for x in range(s.n):
+        cx = c[x]
+        if not cx:
+            continue
+        bounds = [cx if cx < cz else cz for cz in c]
         for y in range(s.n):
             for z in range(s.n):
-                bound = min(g[x], g[z])
-                if bound == ZERO:
+                bound = bounds[z]
+                if not bound:
                     continue
                 for a in range(s.k):
-                    u = s.cayley[x][a][y]
+                    u = cayley[cayley[x][a][y]]
                     for b in range(s.k):
-                        if g[s.cayley[u][b][z]] < bound:
+                        if g[u[b][z]] < bound:
                             return PredicateVerdict(False, Witness(x, y, a, z, b))
     return _TRUE
+
+
+def _bi_ideal_scan(mu: FuzzySubset, c) -> PredicateVerdict:
+    first = _pair_scan(mu, c, c)
+    return _sandwich_scan(mu, c) if first.holds else first
+
+
+def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
+    """mu(x g y) >= min(mu(x), mu(y)) for all x, y, g."""
+    _require_nonempty(mu)
+    return _pair_scan(mu, mu.grades, mu.grades)
+
+
+def is_fuzzy_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
+    """Fuzzy subsemigroup with mu(x a y b z) >= min(mu(x), mu(z))."""
+    _require_nonempty(mu)
+    return _bi_ideal_scan(mu, mu.grades)
 
 
 def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
@@ -141,54 +178,22 @@ def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
     Pairs outside the support are vacuous (the bound is 0 there), so this is
     the closed form of the (in, in-or-q) subsemigroup predicate.
     """
-    _require_nonempty(mu)
-    s, g = mu.structure, mu.grades
-    for x in range(s.n):
-        for y in range(s.n):
-            bound = min(g[x], g[y], HALF)
-            if bound == ZERO:
-                continue
-            for gm in range(s.k):
-                if g[s.cayley[x][gm][y]] < bound:
-                    return PredicateVerdict(False, Witness(x, y, gm))
-    return _TRUE
+    c = _capped(mu)
+    return _pair_scan(mu, c, c)
 
 
 def is_eq_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
     """is_eq_subsemigroup plus mu(x a y b z) >= min(mu(x), mu(z), 1/2)."""
-    first = is_eq_subsemigroup(mu)
-    if not first.holds:
-        return first
-    s, g = mu.structure, mu.grades
-    for x in range(s.n):
-        for y in range(s.n):
-            for z in range(s.n):
-                bound = min(g[x], g[z], HALF)
-                if bound == ZERO:
-                    continue
-                for a in range(s.k):
-                    u = s.cayley[x][a][y]
-                    for b in range(s.k):
-                        if g[s.cayley[u][b][z]] < bound:
-                            return PredicateVerdict(False, Witness(x, y, a, z, b))
-    return _TRUE
+    return _bi_ideal_scan(mu, _capped(mu))
 
 
 def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
     """Left: mu(x g y) >= min(mu(y), 1/2).  Right: >= min(mu(x), 1/2)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    _require_nonempty(mu)
-    s, g = mu.structure, mu.grades
-    for x in range(s.n):
-        for y in range(s.n):
-            bound = min(g[y] if side == "left" else g[x], HALF)
-            if bound == ZERO:
-                continue
-            for gm in range(s.k):
-                if g[s.cayley[x][gm][y]] < bound:
-                    return PredicateVerdict(False, Witness(x, y, gm))
-    return _TRUE
+    c = _capped(mu)
+    ones = (ONE,) * len(c)
+    return _pair_scan(mu, ones, c) if side == "left" else _pair_scan(mu, c, ones)
 
 
 def is_eq_ideal(mu: FuzzySubset) -> PredicateVerdict:
@@ -266,6 +271,31 @@ def _beta_holds(beta: PointRelation, g: int, m: int, base: int) -> bool:
     return not result if beta.negated else result
 
 
+def _failing_cell(
+    pair: AlphaBetaPair, base: int, gx: int, gz: int, gw: int
+) -> tuple[int, int] | None:
+    """First candidate (t, r) with x_t, z_r alpha mu but not w_min(t,r) beta mu.
+
+    gx, gz, gw are the scaled grades of x, z and the product w; None when
+    the point implication holds for this product.
+    """
+    cands = _candidates(base, gx, gz, gw)
+    ts = _premise_filter(pair.alpha, gx, base, cands)
+    if not ts:
+        return None
+    rs = _premise_filter(pair.alpha, gz, base, cands)
+    for t in ts:
+        for r in rs:
+            if not _beta_holds(pair.beta, gw, t if t < r else r, base):
+                return t, r
+    return None
+
+
+def _refuted_at(cell: tuple[int, int], base: int, *where: int) -> PredicateVerdict:
+    t, r = cell
+    return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
+
+
 def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """x_t, y_r alpha mu implies (x g y)_min(t,r) beta mu, for all t, r.
 
@@ -278,20 +308,9 @@ def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> Predicat
     for x in range(s.n):
         for y in range(s.n):
             for gm in range(s.k):
-                w = s.cayley[x][gm][y]
-                cands = _candidates(base, g[x], g[y], g[w])
-                ts = _premise_filter(pair.alpha, g[x], base, cands)
-                if not ts:
-                    continue
-                rs = _premise_filter(pair.alpha, g[y], base, cands)
-                gw = g[w]
-                for t in ts:
-                    for r in rs:
-                        if not _beta_holds(pair.beta, gw, t if t < r else r, base):
-                            return PredicateVerdict(
-                                False,
-                                Witness(x, y, gm, t=Fraction(t, base), r=Fraction(r, base)),
-                            )
+                cell = _failing_cell(pair, base, g[x], g[y], g[s.cayley[x][gm][y]])
+                if cell:
+                    return _refuted_at(cell, base, x, y, gm)
     return _TRUE
 
 
@@ -306,25 +325,11 @@ def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVer
         for y in range(s.n):
             for z in range(s.n):
                 for a in range(s.k):
-                    u = s.cayley[x][a][y]
+                    u = s.cayley[s.cayley[x][a][y]]
                     for b in range(s.k):
-                        w = s.cayley[u][b][z]
-                        cands = _candidates(base, g[x], g[z], g[w])
-                        ts = _premise_filter(pair.alpha, g[x], base, cands)
-                        if not ts:
-                            continue
-                        rs = _premise_filter(pair.alpha, g[z], base, cands)
-                        gw = g[w]
-                        for t in ts:
-                            for r in rs:
-                                if not _beta_holds(pair.beta, gw, t if t < r else r, base):
-                                    return PredicateVerdict(
-                                        False,
-                                        Witness(
-                                            x, y, a, z, b,
-                                            t=Fraction(t, base), r=Fraction(r, base),
-                                        ),
-                                    )
+                        cell = _failing_cell(pair, base, g[x], g[z], g[u[b][z]])
+                        if cell:
+                            return _refuted_at(cell, base, x, y, a, z, b)
     return _TRUE
 
 
@@ -336,26 +341,39 @@ def consistency_eq_definitions(mu: FuzzySubset) -> bool:
     return sub_ok and bi_ok
 
 
-def check_by_name(name: str, mu: FuzzySubset) -> PredicateVerdict:
-    """Dispatch the hyphenated predicate vocabulary used by files and reports.
+_NAMED = {
+    "fuzzy-subsemigroup": is_fuzzy_subsemigroup,
+    "fuzzy-bi-ideal": is_fuzzy_bi_ideal,
+    "eq-subsemigroup": is_eq_subsemigroup,
+    "eq-bi-ideal": is_eq_bi_ideal,
+    "eq-left-ideal": partial(is_eq_one_sided_ideal, side="left"),
+    "eq-right-ideal": partial(is_eq_one_sided_ideal, side="right"),
+    "eq-ideal": is_eq_ideal,
+}
+_AB_FORMS = {"subsemigroup": is_alpha_beta_subsemigroup, "bi-ideal": is_alpha_beta_bi_ideal}
 
-    Known names: fuzzy-subsemigroup, fuzzy-bi-ideal, eq-subsemigroup,
-    eq-bi-ideal, eq-left-ideal, eq-right-ideal, ab-subsemigroup:A,B and
-    ab-bi-ideal:A,B with A/B drawn from in, q, invq, inandq.
+
+def _resolve_predicate(name: str) -> Callable[[FuzzySubset], PredicateVerdict]:
+    """The decider a predicate name stands for; '_' and '-' spell alike.
+
+    Names: fuzzy-subsemigroup, fuzzy-bi-ideal, eq-subsemigroup, eq-bi-ideal,
+    eq-left-ideal, eq-right-ideal, eq-ideal, and the (alpha, beta) forms
+    ab-subsemigroup:A,B and ab-bi-ideal:A,B, also written A-B-subsemigroup
+    and A-B-bi-ideal, with A one of in, q, invq and B one of in, q, invq,
+    inandq, optionally not- negated.
     """
-    simple = {
-        "fuzzy-subsemigroup": is_fuzzy_subsemigroup,
-        "fuzzy-bi-ideal": is_fuzzy_bi_ideal,
-        "eq-subsemigroup": is_eq_subsemigroup,
-        "eq-bi-ideal": is_eq_bi_ideal,
-        "eq-left-ideal": lambda m: is_eq_one_sided_ideal(m, "left"),
-        "eq-right-ideal": lambda m: is_eq_one_sided_ideal(m, "right"),
-    }
-    if name in simple:
-        return simple[name](mu)
-    head, _, spec = name.partition(":")
-    if head == "ab-subsemigroup" and spec:
-        return is_alpha_beta_subsemigroup(mu, AlphaBetaPair.parse(spec))
-    if head == "ab-bi-ideal" and spec:
-        return is_alpha_beta_bi_ideal(mu, AlphaBetaPair.parse(spec))
-    raise ValueError(f"unknown predicate name {name!r}")
+    spelled = name.replace("_", "-")
+    if spelled in _NAMED:
+        return _NAMED[spelled]
+    if m := re.fullmatch(r"ab-(subsemigroup|bi-ideal):(.+)", spelled):
+        form, spec = m.groups()
+    elif m := re.fullmatch(r"(\w+)-(.+)-(subsemigroup|bi-ideal)", spelled):
+        spec, form = f"{m[1]},{m[2]}", m[3]
+    else:
+        raise UnknownPredicateName(f"unknown predicate name {name!r}")
+    return partial(_AB_FORMS[form], pair=AlphaBetaPair.parse(spec))
+
+
+def check_by_name(name: str, mu: FuzzySubset) -> PredicateVerdict:
+    """Decide the named predicate for mu (names as in _resolve_predicate)."""
+    return _resolve_predicate(name)(mu)

@@ -21,20 +21,15 @@ from .errors import (
 )
 from .fuzzy import FuzzySubset, characteristic, o05_product, pointwise_family
 from .predicates import (
-    AlphaBetaPair,
+    _resolve_predicate,
     check_by_name,
-    is_alpha_beta_bi_ideal,
-    is_alpha_beta_subsemigroup,
     is_eq_bi_ideal,
-    is_eq_ideal,
-    is_eq_one_sided_ideal,
     is_eq_subsemigroup,
-    is_fuzzy_bi_ideal,
-    is_fuzzy_subsemigroup,
 )
 from .structure import (
     CrispSubset,
     GammaSemigroup,
+    _nonempty_subsets,
     is_bi_ideal,
     is_left_ideal,
     is_right_ideal,
@@ -382,49 +377,21 @@ def enumerate_crisp(structure: GammaSemigroup, kind: str) -> list[CrispSubset]:
         raise CarrierTooLarge(
             f"2^{structure.n} subset scan exceeds the cap (n <= {subset_scan_limit()})"
         )
-    out = []
-    for mask in range(1, 1 << structure.n):
-        a = frozenset(i for i in range(structure.n) if mask >> i & 1)
-        if check(structure, a):
-            out.append(a)
-    return out
+    return [a for a in _nonempty_subsets(structure.n) if check(structure, a)]
 
 
 # ---------------------------------------------------------- witness search
 
-def _build_registry() -> dict[str, tuple[str, Callable]]:
-    reg: dict[str, tuple[str, Callable]] = {
-        "fuzzy_subsemigroup": ("unary", lambda mu: is_fuzzy_subsemigroup(mu).holds),
-        "fuzzy_bi_ideal": ("unary", lambda mu: is_fuzzy_bi_ideal(mu).holds),
-        "eq_subsemigroup": ("unary", lambda mu: is_eq_subsemigroup(mu).holds),
-        "eq_bi_ideal": ("unary", lambda mu: is_eq_bi_ideal(mu).holds),
-        "eq_left_ideal": ("unary", lambda mu: is_eq_one_sided_ideal(mu, "left").holds),
-        "eq_right_ideal": ("unary", lambda mu: is_eq_one_sided_ideal(mu, "right").holds),
-        "eq_ideal": ("unary", lambda mu: is_eq_ideal(mu).holds),
-        "union_of_two_eq_subsemigroups": (
-            "pair",
-            lambda m1, m2: is_eq_subsemigroup(m1).holds and is_eq_subsemigroup(m2).holds,
-        ),
-        "union_of_two_eq_bi_ideals": (
-            "pair",
-            lambda m1, m2: is_eq_bi_ideal(m1).holds and is_eq_bi_ideal(m2).holds,
-        ),
-    }
-    for a in ("in", "q", "invq"):
-        for b in ("in", "q", "invq", "inandq"):
-            pair = AlphaBetaPair.parse(f"{a},{b}")
-            reg[f"{a}_{b}_subsemigroup"] = (
-                "unary",
-                lambda mu, p=pair: is_alpha_beta_subsemigroup(mu, p).holds,
-            )
-            reg[f"{a}_{b}_bi_ideal"] = (
-                "unary",
-                lambda mu, p=pair: is_alpha_beta_bi_ideal(mu, p).holds,
-            )
-    return reg
+# Pair predicates hold when both operands satisfy the unary decider; the
+# unary names are the predicates module's vocabulary.
+_PAIR_PREDICATES = {
+    "union_of_two_eq_subsemigroups": is_eq_subsemigroup,
+    "union_of_two_eq_bi_ideals": is_eq_bi_ideal,
+}
 
 
-PREDICATE_REGISTRY = _build_registry()
+def _pair_decider(name: str) -> Callable | None:
+    return _PAIR_PREDICATES.get(name.replace("-", "_"))
 
 
 class _Expr:
@@ -440,8 +407,9 @@ class _Expr:
         return set().union(*(p.atoms() for p in self.parts))
 
     def evaluate(self, lookup: Callable) -> bool:
+        """lookup(decide, pair) is an atom's truth value."""
         if self.kind == "atom":
-            return lookup(self.parts[0])
+            return lookup(*self.parts[1:])
         if self.kind == "not":
             return not self.parts[0].evaluate(lookup)
         if self.kind == "and":
@@ -479,9 +447,8 @@ def parse_want(text: str) -> _Expr:
             take()
             return e
         name = take().lower()
-        if name not in PREDICATE_REGISTRY:
-            raise UnknownPredicateName(f"unknown predicate {name!r}")
-        return _Expr("atom", name)
+        pair = _pair_decider(name)
+        return _Expr("atom", name, pair or _resolve_predicate(name), pair is not None)
 
     def term() -> _Expr:
         parts = [fact()]
@@ -529,9 +496,7 @@ def find_witness(
     the bounds scanned are reported.
     """
     tree = parse_want(want)
-    pair_mode = any(
-        PREDICATE_REGISTRY[name][0] == "pair" for name in tree.atoms()
-    )
+    pair_mode = any(_pair_decider(name) for name in tree.atoms())
     n_struct = 0
     n_sub = 0
     for s in structures:
@@ -539,11 +504,7 @@ def find_witness(
         if not pair_mode:
             for mu in grid_subsets(s, grid):
                 n_sub += 1
-
-                def lookup(name: str, mu=mu) -> bool:
-                    return PREDICATE_REGISTRY[name][1](mu)
-
-                if tree.evaluate(lookup):
+                if tree.evaluate(lambda decide, pair: decide(mu).holds):
                     return WitnessSearch(True, s, (mu,), n_struct, n_sub)
         else:
             pool = list(grid_subsets(s, grid))
@@ -552,9 +513,10 @@ def find_witness(
                     n_sub += 1
                     union = pointwise_family("max", [m1, m2])
 
-                    def lookup(name: str, m1=m1, m2=m2, union=union) -> bool:
-                        mode, fn = PREDICATE_REGISTRY[name]
-                        return fn(m1, m2) if mode == "pair" else fn(union)
+                    def lookup(decide, pair) -> bool:
+                        if pair:
+                            return decide(m1).holds and decide(m2).holds
+                        return decide(union).holds
 
                     if tree.evaluate(lookup):
                         return WitnessSearch(True, s, (m1, m2, union), n_struct, n_sub)

@@ -41,7 +41,10 @@ DEFAULT_SUBSET_SCAN_LIMIT = 16
 def subset_scan_limit() -> int:
     """Carrier-size cap for 2^n subset scans (env GSF_MAX_SUBSET_SCAN)."""
     raw = os.environ.get("GSF_MAX_SUBSET_SCAN")
-    return int(raw) if raw else DEFAULT_SUBSET_SCAN_LIMIT
+    try:
+        return int(raw) if raw else DEFAULT_SUBSET_SCAN_LIMIT
+    except ValueError:
+        raise ValueError(f"GSF_MAX_SUBSET_SCAN must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def validate_structure(
         for g in range(k):
             for y in range(n):
                 v = cube[x][g][y]
-                if not isinstance(v, int) or not 0 <= v < n:
+                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                     raise OutOfRangeEntry(elements[x], gammas[g], elements[y], v)
 
     for x in range(n):

@@ -25,7 +25,6 @@ from .fuzzy import (
     FuzzySubset,
     cap05,
     characteristic,
-    constant,
     critical_thresholds,
     level_sets,
     o05_product,
@@ -44,7 +43,8 @@ from .structure import (
     GammaSemigroup,
     Homomorphism,
     classify_structure,
-    classify_subset,
+    is_bi_ideal,
+    is_subsemigroup,
 )
 
 EQ = AlphaBetaPair(IN, IN_OR_Q)
@@ -78,18 +78,6 @@ def _grades_detail(mu: FuzzySubset) -> str:
     return " ".join(str(g) for g in mu.grades)
 
 
-def _cap_half(mu: FuzzySubset) -> FuzzySubset:
-    """Pointwise min with the constant 1/2 (the 0.5_S cap).
-
-    Capping with 1/2 only on the support of mu would be strictly weaker: a
-    pair or triple product can land outside the support, where a support cap
-    zeroes the condition out (take the characteristic function of the
-    identity in the 2-element group), and the five-way equivalences below
-    would not survive.  The constant cap keeps them exact.
-    """
-    return FuzzySubset(mu.structure, tuple(min(g, HALF) for g in mu.grades))
-
-
 def _level_is(mu: FuzzySubset, check, upper=HALF) -> bool:
     """check holds on every non-empty level set mu_r with r critical in (0, upper]."""
     s = mu.structure
@@ -116,8 +104,12 @@ def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
         is_alpha_beta_subsemigroup(mu, EQ).holds,
         is_eq_subsemigroup(mu).holds,
         subset_or_q(square, mu),
-        pointwise_leq(_cap_half(square), mu),
-        _level_is(mu, lambda s, a: classify_subset(s, a).subsemigroup),
+        # The cap is the constant 1/2, not 1/2 on the support of mu: a product
+        # can land outside the support, where a support cap zeroes the
+        # condition out (take the characteristic function of the identity in
+        # the 2-element group), and the five-way equivalence would fail.
+        pointwise_leq(cap05(square, square), mu),
+        _level_is(mu, is_subsemigroup),
     )
     return _report("thm3.2", flags, _grades_detail(mu))
 
@@ -136,8 +128,9 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
         is_alpha_beta_bi_ideal(mu, EQ).holds,
         is_eq_bi_ideal(mu).holds,
         hypothesis and subset_or_q(triple, mu),
-        hypothesis and pointwise_leq(_cap_half(triple), mu),
-        _level_is(mu, lambda st, a: classify_subset(st, a).bi_ideal),
+        # constant 1/2 cap, as in thm3.2
+        hypothesis and pointwise_leq(cap05(triple, triple), mu),
+        _level_is(mu, is_bi_ideal),
     )
     return _report("thm3.5", flags, _grades_detail(mu))
 
@@ -149,11 +142,9 @@ def report_level_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -
     critical thresholds of mu.
     """
     if kind == "subsemigroup":
-        theorem_id, pred = "thm4.23", is_eq_subsemigroup
-        crisp = lambda s, a: classify_subset(s, a).subsemigroup
+        theorem_id, pred, crisp = "thm4.23", is_eq_subsemigroup, is_subsemigroup
     elif kind == "bi_ideal":
-        theorem_id, pred = "thm4.24", is_eq_bi_ideal
-        crisp = lambda s, a: classify_subset(s, a).bi_ideal
+        theorem_id, pred, crisp = "thm4.24", is_eq_bi_ideal, is_bi_ideal
     else:
         raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
     s = mu.structure
@@ -242,9 +233,8 @@ def report_regularity_characterization(
     """
     samples = _vet_samples(fuzzy_samples) + _characteristic_bi_ideals(s)
     one = characteristic(s, range(s.n))
-    half = constant(s, HALF)
     equal = all(
-        o05_product(o05_product(mu, one), mu) == cap05(mu, half) for mu in samples
+        o05_product(o05_product(mu, one), mu) == cap05(mu, mu) for mu in samples
     )
     flags = (classify_structure(s).regular, equal)
     return _report("thm4.28", flags, f"n={s.n} k={s.k}")
@@ -265,10 +255,9 @@ def report_regular_intra_characterization(
     """
     samples = _vet_samples(fuzzy_samples)
     chars = _characteristic_bi_ideals(s)
-    half = constant(s, HALF)
 
     everything = samples + chars
-    squares_ok = all(o05_product(mu, mu) == cap05(mu, half) for mu in everything)
+    squares_ok = all(o05_product(mu, mu) == cap05(mu, mu) for mu in everything)
 
     if pairs is None:
         pair_list = [(p, q) for p in chars for q in chars]

@@ -171,6 +171,23 @@ def test_cli_check_bad_predicate_names(tmp_path, capsys):
         assert "error:" in out
 
 
+def test_cli_zero_fuzzy_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "zero.gsf", EX34_TEXT + "fuzzy zero e=0\n")
+    for argv in (["check", path, "--fuzzy", "zero", "--pred", "eq-subsemigroup"],
+                 ["theorems", path, "--fuzzy", "zero"]):
+        code, out = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == "error: the zero fuzzy subset is excluded\n"
+
+
+def test_cli_bad_subset_scan_limit(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
+    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "abc")
+    code, out = _run(capsys, ["classify", path])
+    assert code == 2
+    assert out == "error: GSF_MAX_SUBSET_SCAN must be an integer, got 'abc'\n"
+
+
 def test_cli_theorems(tmp_path, capsys):
     path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
     code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu", "--samples", "10"])

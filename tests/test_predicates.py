@@ -23,10 +23,10 @@ from gsfuzz import (
     support,
     validate_structure,
 )
-from gsfuzz.errors import EmptyFuzzySubset, InvalidAlpha
+from gsfuzz.errors import EmptyFuzzySubset, InvalidAlpha, UnknownPredicateName
 from gsfuzz.fuzzy import HALF, IN, ONE, FuzzyPoint, PointRelation, point_satisfies
 from gsfuzz.predicates import PredicateVerdict, Witness
-from gsfuzz.search import GeneratorConfig, generate_structures, random_fuzzy
+from gsfuzz.search import GeneratorConfig, generate_structures, parse_want, random_fuzzy
 from gsfuzz.structure import classify_subset
 
 ALPHAS = ("in", "q", "invq")
@@ -276,3 +276,33 @@ def test_check_by_name_dispatch(ex46):
     assert check_by_name("eq-left-ideal", constant(ex46.structure, HALF)).holds
     with pytest.raises(ValueError):
         check_by_name("nonsense", mu)
+
+
+def test_predicate_names_accept_both_spellings(ex34, ex46):
+    named = [
+        "fuzzy-subsemigroup", "fuzzy-bi-ideal", "eq-subsemigroup", "eq-bi-ideal",
+        "eq-left-ideal", "eq-right-ideal", "eq-ideal",
+    ]
+    for f in (ex34, ex46):
+        mu = f.fuzzy["mu"]
+        for name in named:
+            assert check_by_name(name, mu) == check_by_name(name.replace("-", "_"), mu)
+        for a in ALPHAS:
+            for b in BETAS:
+                pair = AlphaBetaPair.parse(f"{a},{b}")
+                sub = is_alpha_beta_subsemigroup(mu, pair)
+                bi = is_alpha_beta_bi_ideal(mu, pair)
+                assert check_by_name(f"ab-subsemigroup:{a},{b}", mu) == sub
+                assert check_by_name(f"{a}_{b}_subsemigroup", mu) == sub
+                assert check_by_name(f"ab-bi-ideal:{a},{b}", mu) == bi
+                assert check_by_name(f"{a}_{b}_bi_ideal", mu) == bi
+    mu = ex46.fuzzy["mu"]
+    assert check_by_name("eq-ideal", mu) == is_eq_ideal(mu)
+    with pytest.raises(UnknownPredicateName):
+        check_by_name("union_of_two_eq_subsemigroups", mu)
+    for want in ("ab-bi-ideal:in,q AND NOT eq-ideal", "in_q_bi_ideal AND NOT eq_ideal"):
+        tree = parse_want(want)
+        assert tree.evaluate(lambda decide, pair: decide(mu).holds) == (
+            is_alpha_beta_bi_ideal(mu, AlphaBetaPair.parse("in,q")).holds
+            and not is_eq_ideal(mu).holds
+        )

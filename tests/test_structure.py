@@ -50,6 +50,13 @@ def test_validate_rejects_out_of_range_cell():
         validate_structure(["a", "b"], ["g"], [[[0, 1]], [[0, 5]]])
 
 
+def test_validate_rejects_bool_cells():
+    # bool is an int subclass; True/False must not pass for element indices
+    with pytest.raises(OutOfRangeEntry) as exc:
+        validate_structure(["a", "b"], ["g"], [[[True, False]], [[False, True]]])
+    assert exc.value.value is True
+
+
 def test_validate_rejects_empty_and_duplicates():
     with pytest.raises(EmptyCarrier):
         validate_structure([], ["g"], [])
