@@ -26,7 +26,7 @@ from gsfuzz import (
 from gsfuzz.errors import EmptyFuzzySubset, InvalidAlpha, UnknownPredicateName
 from gsfuzz.fuzzy import HALF, IN, ONE, FuzzyPoint, PointRelation, point_satisfies
 from gsfuzz.predicates import PredicateVerdict, Witness
-from gsfuzz.search import GeneratorConfig, generate_structures, parse_want, random_fuzzy
+from gsfuzz.search import GeneratorConfig, find_witness, generate_structures, random_fuzzy
 from gsfuzz.structure import classify_subset
 
 ALPHAS = ("in", "q", "invq")
@@ -300,9 +300,9 @@ def test_predicate_names_accept_both_spellings(ex34, ex46):
     assert check_by_name("eq-ideal", mu) == is_eq_ideal(mu)
     with pytest.raises(UnknownPredicateName):
         check_by_name("union_of_two_eq_subsemigroups", mu)
-    for want in ("ab-bi-ideal:in,q AND NOT eq-ideal", "in_q_bi_ideal AND NOT eq_ideal"):
-        tree = parse_want(want)
-        assert tree.evaluate(lambda decide, pair: decide(mu).holds) == (
-            is_alpha_beta_bi_ideal(mu, AlphaBetaPair.parse("in,q")).holds
-            and not is_eq_ideal(mu).holds
-        )
+    hyphen = find_witness([ex46.structure], "ab-bi-ideal:in,q AND NOT eq-ideal", 2)
+    underscore = find_witness([ex46.structure], "in_q_bi_ideal AND NOT eq_ideal", 2)
+    assert hyphen == underscore and hyphen.found
+    (found,) = hyphen.subsets
+    assert is_alpha_beta_bi_ideal(found, AlphaBetaPair.parse("in,q")).holds
+    assert not is_eq_ideal(found).holds
