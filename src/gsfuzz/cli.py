@@ -13,11 +13,14 @@ File format (UTF-8, line oriented, '#' starts a comment):
     map f -> other.gsf : e=e a=a b=b
 
 Row i, column j of the block under ``table g`` is the product
-(element_i g element_j).  Grades accept p/q or decimal literals, both parsed
-exactly; fuzzy lines may omit elements, which default to grade 0.
+(element_i g element_j); while a table is open every line is one of its rows,
+so an element may be named like a directive.  Names are single tokens without
+'=', '#' or ':'.  Grades accept p/q or decimal literals, both parsed exactly;
+fuzzy lines may omit elements, which default to grade 0.
 
 Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
-all-zero fuzzy subset included), 3 invalid structure.
+all-zero fuzzy subset and a hit subset-scan cap or sampling budget
+included), 3 invalid structure.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from fractions import Fraction
 
 from .errors import (
     BadRational,
+    BudgetExhausted,
+    CarrierTooLarge,
     DocumentError,
     DocumentSyntaxError,
     DuplicateName,
@@ -102,6 +107,15 @@ def _grade_token(line_no: int, token: str) -> Fraction:
     return value
 
 
+def _check_names(names, line_no: int | None = None) -> None:
+    """Every name must read back as itself: one token, no '=', '#' or ':'."""
+    for name in names:
+        if not name or any(c.isspace() or c in "=#:" for c in name):
+            raise DocumentSyntaxError(
+                f"name {name!r} must be one token without '=', '#' or ':'", line_no
+            )
+
+
 def parse(text: str) -> StructureDocument:
     """Parse a structure document; errors carry the offending line number."""
     doc = StructureDocument()
@@ -129,22 +143,21 @@ def parse(text: str) -> StructureDocument:
         tokens = line.split()
         head = tokens[0]
 
-        if pending_table is not None and head not in (
-            "elements", "gammas", "table", "fuzzy", "subset", "map",
-        ):
-            if len(tokens) != len(doc.elements):
-                raise MissingTable(
-                    f"table row has {len(tokens)} entries, expected {len(doc.elements)}",
-                    line_no,
-                )
-            for name in tokens:
-                if name not in doc.elements:
-                    raise DocumentSyntaxError(f"unknown element {name!r}", line_no)
-            pending_rows.append(tokens)
-            if len(pending_rows) == len(doc.elements):
-                close_table(line_no)
-            continue
-        close_table(line_no)
+        if pending_table is not None:
+            unknown = [name for name in tokens if name not in doc.elements]
+            if len(tokens) == len(doc.elements) and not unknown:
+                pending_rows.append(tokens)
+                if len(pending_rows) == len(doc.elements):
+                    close_table(line_no)
+                continue
+            if head in ("elements", "gammas", "table", "fuzzy", "subset", "map"):
+                close_table(line_no)  # a directive that is no row: the table is short
+            if unknown and len(tokens) == len(doc.elements):
+                raise DocumentSyntaxError(f"unknown element {unknown[0]!r}", line_no)
+            raise MissingTable(
+                f"table row has {len(tokens)} entries, expected {len(doc.elements)}",
+                line_no,
+            )
 
         if head == "elements":
             if doc.elements:
@@ -153,6 +166,7 @@ def parse(text: str) -> StructureDocument:
                 raise DocumentSyntaxError("elements line needs at least one name", line_no)
             if len(set(tokens[1:])) != len(tokens) - 1:
                 raise DuplicateName("duplicate element name", line_no)
+            _check_names(tokens[1:], line_no)
             doc.elements = tokens[1:]
         elif head == "gammas":
             if doc.gammas:
@@ -161,6 +175,7 @@ def parse(text: str) -> StructureDocument:
                 raise DocumentSyntaxError("gammas line needs at least one name", line_no)
             if len(set(tokens[1:])) != len(tokens) - 1:
                 raise DuplicateName("duplicate gamma name", line_no)
+            _check_names(tokens[1:], line_no)
             doc.gammas = tokens[1:]
         elif head == "table":
             if len(tokens) != 2:
@@ -177,6 +192,7 @@ def parse(text: str) -> StructureDocument:
             if len(tokens) < 2:
                 raise DocumentSyntaxError("usage: fuzzy NAME el=grade ...", line_no)
             name = tokens[1]
+            _check_names([name], line_no)
             if name in doc.fuzzy:
                 raise DuplicateName(f"fuzzy {name!r} already given", line_no)
             grades = {}
@@ -190,6 +206,7 @@ def parse(text: str) -> StructureDocument:
             if len(tokens) < 2:
                 raise DocumentSyntaxError("usage: subset NAME el ...", line_no)
             name = tokens[1]
+            _check_names([name], line_no)
             if name in doc.subsets:
                 raise DuplicateName(f"subset {name!r} already given", line_no)
             for el in tokens[2:]:
@@ -201,6 +218,7 @@ def parse(text: str) -> StructureDocument:
             if len(tokens) < 5 or tokens[2] != "->" or ":" not in tokens:
                 raise DocumentSyntaxError("usage: map NAME -> FILE : x=y ...", line_no)
             name = tokens[1]
+            _check_names([name], line_no)
             if name in doc.maps:
                 raise DuplicateName(f"map {name!r} already given", line_no)
             colon = tokens.index(":")
@@ -227,7 +245,11 @@ def parse(text: str) -> StructureDocument:
 
 
 def print_document(doc: StructureDocument) -> str:
-    """Canonical text form; parse(print_document(doc)) == doc."""
+    """Canonical text form; parse(print_document(doc)) == doc.
+
+    Raises DocumentSyntaxError for a name that the format cannot carry.
+    """
+    _check_names([*doc.elements, *doc.gammas, *doc.fuzzy, *doc.subsets, *doc.maps])
     out = [
         "elements " + " ".join(doc.elements),
         "gammas " + " ".join(doc.gammas),
@@ -490,8 +512,9 @@ def run(argv: list) -> int:
         print(f"error: {exc}")
         return 2
     except GsfError as exc:
+        # A cap or budget is a limit of the run, not a fault of the structure.
         print(f"error: {exc.__class__.__name__}: {exc}")
-        return 3
+        return 2 if isinstance(exc, (CarrierTooLarge, BudgetExhausted)) else 3
     for line in lines:
         print(line)
     return code

@@ -231,7 +231,9 @@ def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
 #
 # Grades are rescaled to a common even integer base so breakpoints are even
 # integers and every open cell contains an integer representative; the inner
-# loops then run on plain ints.
+# loops then run on plain ints.  The first failing cell of a product is a
+# function of the grade triple alone, so each distinct triple is decided once
+# per call, in a memo local to that call.
 # ------------------------------------------------------------------
 
 
@@ -240,15 +242,14 @@ def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
     return [g.numerator * (base // g.denominator) for g in mu.grades], base
 
 
-def _candidates(base: int, *grades: int) -> list[int]:
-    breaks = sorted(
-        {v for g in grades for v in (g, base - g) if 0 < v <= base} | {base}
-    )
-    cells = set(breaks)
-    cells.add(breaks[0] // 2)
-    cells.update((a + b) // 2 for a, b in zip(breaks, breaks[1:]))
-    cells.discard(0)
-    return sorted(cells)
+def _candidates(base: int, gx: int, gz: int, gw: int) -> list[int]:
+    """Ascending: each breakpoint in (0, base], preceded by a value inside
+    the cell below it (scaled grades are even, so midpoints are interior)."""
+    cands, low = [], 0
+    for b in sorted({gx, gz, gw, base - gx, base - gz, base - gw, base} - {0}):
+        cands += (low + b) // 2, b
+        low = b
+    return cands
 
 
 def _premise_filter(alpha: PointRelation, g: int, base: int, cands: list[int]) -> list[int]:
@@ -259,16 +260,18 @@ def _premise_filter(alpha: PointRelation, g: int, base: int, cands: list[int]) -
     return [t for t in cands if t <= g or g + t > base]
 
 
-def _beta_holds(beta: PointRelation, g: int, m: int, base: int) -> bool:
+def _beta_failures(beta: PointRelation, g: int, base: int, cands: list[int]) -> set[int]:
+    """The candidates m with w_m not beta mu, for w of scaled grade g."""
+    q = base - g  # w_m q mu iff m > q
     if beta.kind is RelKind.IN:
-        result = g >= m
+        holds = {m for m in cands if m <= g}
     elif beta.kind is RelKind.Q:
-        result = g + m > base
+        holds = {m for m in cands if m > q}
     elif beta.kind is RelKind.IN_OR_Q:
-        result = g >= m or g + m > base
+        holds = {m for m in cands if m <= g or m > q}
     else:
-        result = g >= m and g + m > base
-    return not result if beta.negated else result
+        holds = {m for m in cands if q < m <= g}
+    return holds if beta.negated else set(cands) - holds
 
 
 def _failing_cell(
@@ -279,14 +282,17 @@ def _failing_cell(
     gx, gz, gw are the scaled grades of x, z and the product w; None when
     the point implication holds for this product.
     """
+    if not gx or not gz:  # no point x_t (t > 0) of grade 0 satisfies alpha
+        return None
     cands = _candidates(base, gx, gz, gw)
-    ts = _premise_filter(pair.alpha, gx, base, cands)
-    if not ts:
+    # min(t, r) is itself a candidate, so beta is tested once per candidate.
+    bad = _beta_failures(pair.beta, gw, base, cands)
+    if not bad:
         return None
     rs = _premise_filter(pair.alpha, gz, base, cands)
-    for t in ts:
+    for t in _premise_filter(pair.alpha, gx, base, cands):
         for r in rs:
-            if not _beta_holds(pair.beta, gw, t if t < r else r, base):
+            if (t if t < r else r) in bad:
                 return t, r
     return None
 
@@ -296,41 +302,60 @@ def _refuted_at(cell: tuple[int, int], base: int, *where: int) -> PredicateVerdi
     return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
 
 
+class _CellMemo(dict):
+    """(g[x], g[z], g[w]) -> _failing_cell of that triple, filled on first use."""
+
+    def __init__(self, pair: AlphaBetaPair, base: int):
+        super().__init__()
+        self.pair, self.base = pair, base
+
+    def __missing__(self, key):
+        found = self[key] = _failing_cell(self.pair, self.base, *key)
+        return found
+
+
+def _alpha_beta_scan(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
+    """First failing product over (x, y, gamma), then with bi over
+    (x, y, a, z, b), refuted at its first failing cell."""
+    _require_nonempty(mu)
+    s = mu.structure
+    cayley = s.cayley
+    g, base = _scaled_grades(mu)
+    cells = _CellMemo(pair, base)
+    n, k = range(s.n), range(s.k)
+    for x in n:
+        gx, row = g[x], cayley[x]
+        for y in n:
+            gy = g[y]
+            for gm in k:
+                if found := cells[gx, gy, g[row[gm][y]]]:
+                    return _refuted_at(found, base, x, y, gm)
+    if bi:
+        for x in n:
+            gx = g[x]
+            for y in n:
+                for z in n:
+                    gz = g[z]
+                    for a in k:
+                        u = cayley[cayley[x][a][y]]
+                        for b in k:
+                            if found := cells[gx, gz, g[u[b][z]]]:
+                                return _refuted_at(found, base, x, y, a, z, b)
+    return _TRUE
+
+
 def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """x_t, y_r alpha mu implies (x g y)_min(t,r) beta mu, for all t, r.
 
     Decided exactly by cell sampling (see the note above); the witness
     carries the first failing candidate pair (t, r).
     """
-    _require_nonempty(mu)
-    s = mu.structure
-    g, base = _scaled_grades(mu)
-    for x in range(s.n):
-        for y in range(s.n):
-            for gm in range(s.k):
-                cell = _failing_cell(pair, base, g[x], g[y], g[s.cayley[x][gm][y]])
-                if cell:
-                    return _refuted_at(cell, base, x, y, gm)
-    return _TRUE
+    return _alpha_beta_scan(mu, pair, bi=False)
 
 
 def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """The subsemigroup predicate plus its triple form on x_t, z_r."""
-    first = is_alpha_beta_subsemigroup(mu, pair)
-    if not first.holds:
-        return first
-    s = mu.structure
-    g, base = _scaled_grades(mu)
-    for x in range(s.n):
-        for y in range(s.n):
-            for z in range(s.n):
-                for a in range(s.k):
-                    u = s.cayley[s.cayley[x][a][y]]
-                    for b in range(s.k):
-                        cell = _failing_cell(pair, base, g[x], g[z], g[u[b][z]])
-                        if cell:
-                            return _refuted_at(cell, base, x, y, a, z, b)
-    return _TRUE
+    return _alpha_beta_scan(mu, pair, bi=True)
 
 
 def consistency_eq_definitions(mu: FuzzySubset) -> bool:

@@ -149,7 +149,7 @@ def validate_structure(
 def _check_subset(s: GammaSemigroup, a: Iterable[int]) -> CrispSubset:
     a = frozenset(a)
     for i in a:
-        if not isinstance(i, int) or not 0 <= i < s.n:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < s.n:
             raise IndexOutOfRange(f"element index {i!r} out of range")
     return a
 
@@ -314,7 +314,7 @@ def validate_homomorphism(
     if len(mapping) != source.n:
         raise IndexOutOfRange("mapping must assign every source element")
     for v in mapping:
-        if not isinstance(v, int) or not 0 <= v < target.n:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < target.n:
             raise IndexOutOfRange(f"mapped value {v!r} out of target range")
     # Gamma symbols may be listed in different orders on the two sides.
     tg = [target.gamma_index[name] for name in source.gammas]

@@ -128,22 +128,31 @@ def _premise(mu: FuzzySubset, alpha: PointRelation) -> tuple[list, ...]:
     )
 
 
-def _cells(*grades) -> list:
+@cache
+def _cells(*grades) -> tuple:
     """Breakpoints g, 1 - g in (0,1] and 1, plus one value inside every cell."""
     breaks = sorted({v for g in grades for v in (g, ONE - g) if v > ZERO} | {ONE})
     inner = {breaks[0] / 2} | {(a + b) / 2 for a, b in zip(breaks, breaks[1:])}
-    return sorted(set(breaks) | inner)
+    return tuple(sorted(set(breaks) | inner))
 
 
 def _first_refuting_cell(mu, alpha, beta, x: int, z: int, w: int) -> tuple:
     """First (t, r), ascending over the cells cut by the grades of x, z and w,
     with x_t and z_r alpha mu but not w_min(t,r) beta mu."""
     cells = _cells(mu.grades[x], mu.grades[z], mu.grades[w])
+
+    @cache
+    def premise(e: int, v) -> bool:
+        return point_satisfies(FuzzyPoint(e, v), mu, alpha)
+
+    @cache
+    def concludes(v) -> bool:
+        return point_satisfies(FuzzyPoint(w, v), mu, beta)
+
     return next(
         (t, r)
-        for t in cells if point_satisfies(FuzzyPoint(x, t), mu, alpha)
-        for r in cells if point_satisfies(FuzzyPoint(z, r), mu, alpha)
-        and not point_satisfies(FuzzyPoint(w, min(t, r)), mu, beta)
+        for t in cells if premise(x, t)
+        for r in cells if premise(z, r) and not concludes(min(t, r))
     )
 
 
@@ -172,6 +181,7 @@ def first_alpha_beta_failure(
     def concludes(w: int, v) -> bool:
         return point_satisfies(FuzzyPoint(w, v), mu, beta)
 
+    @cache
     def fails(x: int, z: int, w: int) -> bool:
         return not all(concludes(w, v) for v in mins(x, z))
 

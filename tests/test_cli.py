@@ -2,11 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from gsfuzz import FuzzyPoint, point_satisfies
-from gsfuzz.cli import document_for, parse, print_document, run
-from gsfuzz.errors import BadRational, DocumentSyntaxError, DuplicateName, MissingTable
+from gsfuzz import FuzzyPoint, FuzzySubset, point_satisfies, validate_structure
+from gsfuzz.cli import MapSpec, document_for, parse, print_document, run
+from gsfuzz.errors import (
+    BadRational,
+    DocumentError,
+    DocumentSyntaxError,
+    DuplicateName,
+    MissingTable,
+)
 from gsfuzz.fuzzy import IN
-from gsfuzz.search import fixtures
+from gsfuzz.search import SplitMix64, fixtures
 
 EX34_TEXT = """\
 # three-element carrier, single operation
@@ -84,6 +90,67 @@ def test_roundtrip_preserves_subsets_and_maps():
     text = EX34_TEXT + "map f -> other.gsf : e=e a=a b=b\n"
     doc = parse(text)
     assert parse(print_document(doc)) == doc
+
+
+def test_roundtrip_directive_named_elements():
+    s = validate_structure(["fuzzy", "b"], ["g"], [[[0, 0]], [[0, 1]]])
+    doc = document_for(s)
+    assert parse(print_document(doc)) == doc
+
+
+def test_parse_short_table_before_directive():
+    with pytest.raises(MissingTable) as exc:
+        parse("elements a b\ngammas g\ntable g\na a\nfuzzy m a=1\n")
+    assert str(exc.value) == "line 5: table 'g' has 1 rows, expected 2"
+
+
+# Directive words and format punctuation mixed with plain name characters;
+# the unsafe marks are what the line format cannot carry inside a name.
+_NAME_PARTS = ("elements", "gammas", "table", "fuzzy", "subset", "map", "->", "a", "b",
+               "0", "-", "_", ".", "/")
+_UNSAFE = ("=", "#", ":", " ", "\t")
+
+
+def _distinct_names(rng: SplitMix64, count: int) -> list:
+    names: list = []
+    while len(names) < count:
+        parts = (_NAME_PARTS[rng.below(len(_NAME_PARTS))] for _ in range(1 + rng.below(3)))
+        name = "".join(parts)
+        if name not in names:
+            names.append(name)
+    return names
+
+
+def test_roundtrip_random_names():
+    rng = SplitMix64(20)
+    pool = [f.structure for f in fixtures()]
+    for trial in range(200):
+        s0 = pool[rng.below(len(pool))]
+        names = _distinct_names(rng, s0.n + s0.k + 3)
+        spoiled = trial % 2
+        if spoiled:  # one name carries an unsafe mark
+            i = rng.below(len(names))
+            j = rng.below(len(names[i]) + 1)
+            names[i] = names[i][:j] + _UNSAFE[rng.below(len(_UNSAFE))] + names[i][j:]
+        elements, gammas = names[: s0.n], names[s0.n: s0.n + s0.k]
+        fuzzy_name, subset_name, map_name = names[s0.n + s0.k:]
+        s = validate_structure(elements, gammas, s0.cayley)
+        mu = FuzzySubset(s, [F(rng.below(11), 10) for _ in range(s.n)])
+        doc = document_for(s, {fuzzy_name: mu})
+        doc.subsets[subset_name] = elements[: 1 + rng.below(s.n)]
+        doc.maps[map_name] = MapSpec("other.gsf", {el: elements[0] for el in elements})
+        if spoiled:
+            with pytest.raises(DocumentError):
+                print_document(doc)
+        else:
+            assert parse(print_document(doc)) == doc, names
+
+
+def test_parse_rejects_unsafe_names():
+    for text in ("elements a:b\n", "elements a\ngammas g=h\n",
+                 "elements a\ngammas g\ntable g\na\nsubset A:B a\n"):
+        with pytest.raises(DocumentSyntaxError):
+            parse(text)
 
 
 def _run(capsys, argv):
@@ -186,6 +253,18 @@ def test_cli_bad_subset_scan_limit(tmp_path, capsys, monkeypatch):
     code, out = _run(capsys, ["classify", path])
     assert code == 2
     assert out == "error: GSF_MAX_SUBSET_SCAN must be an integer, got 'abc'\n"
+
+
+def test_cli_caps_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # A cap stops the run on a valid structure: exit 2, not 3 (invalid structure).
+    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
+    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "2")
+    code, out = _run(capsys, ["classify", path])
+    assert code == 2
+    assert out == "error: CarrierTooLarge: duo scan needs 2^3 subsets, cap is n <= 2\n"
+    monkeypatch.delenv("GSF_MAX_SUBSET_SCAN")
+    code, out = _run(capsys, ["search", "--want", "eq_subsemigroup", "--n", "4", "--exhaustive"])
+    assert code == 2 and out.startswith("error: CarrierTooLarge: ")
 
 
 def test_cli_theorems(tmp_path, capsys):

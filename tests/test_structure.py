@@ -145,6 +145,15 @@ def test_homomorphism_violation_witness(ex34):
     assert exc.value.witness == ("e", "g", "a")
 
 
+def test_bool_element_indices_rejected(ex34):
+    # bool is an int subclass; True/False must not pass for element indices
+    s = ex34.structure
+    with pytest.raises(IndexOutOfRange):
+        validate_homomorphism(s, s, [False, True, 2])
+    with pytest.raises(IndexOutOfRange):
+        classify_subset(s, [True])
+
+
 def test_homomorphism_gamma_mismatch(ex34, mod12):
     with pytest.raises(GammaMismatch):
         validate_homomorphism(ex34.structure, mod12.structure, (0, 0, 0))
