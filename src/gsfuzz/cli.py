@@ -14,9 +14,10 @@ File format (UTF-8, line oriented, '#' starts a comment):
 
 Row i, column j of the block under ``table g`` is the product
 (element_i g element_j); while a table is open every line is one of its rows,
-so an element may be named like a directive.  Names are single tokens without
-'=', '#' or ':'.  Grades accept p/q or decimal literals, both parsed exactly;
-fuzzy lines may omit elements, which default to grade 0.
+so an element may be named like a directive.  Names, map targets and map
+images are single tokens without '=', '#' or ':'.  Grades accept p/q or
+decimal literals, both parsed exactly; fuzzy lines may omit elements, which
+default to grade 0.
 
 Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
 all-zero fuzzy subset and a hit subset-scan cap or sampling budget
@@ -215,16 +216,15 @@ def parse(text: str) -> StructureDocument:
             doc.subsets[name] = tokens[2:]
         elif head == "map":
             # map NAME -> TARGET : x=y ...
-            if len(tokens) < 5 or tokens[2] != "->" or ":" not in tokens:
+            if len(tokens) < 5 or tokens[2] != "->" or tokens[4] != ":":
                 raise DocumentSyntaxError("usage: map NAME -> FILE : x=y ...", line_no)
             name = tokens[1]
             _check_names([name], line_no)
             if name in doc.maps:
                 raise DuplicateName(f"map {name!r} already given", line_no)
-            colon = tokens.index(":")
-            target = " ".join(tokens[3:colon])
+            target = tokens[3]
             assignments = {}
-            for tok in tokens[colon + 1:]:
+            for tok in tokens[5:]:
                 src, eq, dst = tok.partition("=")
                 if not eq or src not in doc.elements:
                     raise DocumentSyntaxError(f"bad map assignment {tok!r}", line_no)
@@ -250,6 +250,8 @@ def print_document(doc: StructureDocument) -> str:
     Raises DocumentSyntaxError for a name that the format cannot carry.
     """
     _check_names([*doc.elements, *doc.gammas, *doc.fuzzy, *doc.subsets, *doc.maps])
+    for spec in doc.maps.values():
+        _check_names([spec.target, *spec.assignments.values()])
     out = [
         "elements " + " ".join(doc.elements),
         "gammas " + " ".join(doc.gammas),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExhausted,
@@ -29,6 +29,7 @@ from .predicates import (
 from .structure import (
     CrispSubset,
     GammaSemigroup,
+    _assoc_failure,
     _nonempty_subsets,
     is_bi_ideal,
     is_left_ideal,
@@ -213,36 +214,8 @@ def fixtures() -> list[Fixture]:
 
 # ------------------------------------------------------------- generation
 
-def _assoc_table(tab: Sequence[Sequence[int]], n: int) -> bool:
-    for x in range(n):
-        row = tab[x]
-        for y in range(n):
-            xy = row[y]
-            for z in range(n):
-                if tab[xy][z] != row[tab[y][z]]:
-                    return False
-    return True
-
-
-def _mixed_assoc(t1, t2, n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            a, b = t1[x][y], t2[x][y]
-            for z in range(n):
-                if t2[a][z] != t1[x][t2[y][z]]:
-                    return False
-                if t1[b][z] != t2[x][t1[y][z]]:
-                    return False
-    return True
-
-
 def _names(n: int, k: int) -> tuple[list[str], list[str]]:
     return [f"e{i}" for i in range(n)], [f"g{i}" for i in range(k)]
-
-
-def _cube_from_tables(tables):
-    n = len(tables[0])
-    return tuple(tuple(tuple(t[x]) for t in tables) for x in range(n))
 
 
 def _exhaustive(config: GeneratorConfig) -> Iterator[GammaSemigroup]:
@@ -250,23 +223,15 @@ def _exhaustive(config: GeneratorConfig) -> Iterator[GammaSemigroup]:
     if n > 3 or k > 2:
         raise CarrierTooLarge("exhaustive enumeration is limited to n <= 3, k <= 2")
     elements, gammas = _names(n, k)
-    singles = []
-    for flat in product(range(n), repeat=n * n):
-        tab = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if _assoc_table(tab, n):
-            singles.append(tab)
-    if k == 1:
-        tabsets: Iterable = ((t,) for t in singles)
-    else:
-        tabsets = (
-            (t1, t2)
-            for t1 in singles
-            for t2 in singles
-            if _mixed_assoc(t1, t2, n)
-        )
+    rows = list(product(range(n), repeat=n))
+    # each operation alone must be associative, so only those tables are combined
+    singles = [t for t in product(rows, repeat=n) if _assoc_failure(tuple(zip(t))) is None]
     emitted = 0
-    for tabs in tabsets:
-        yield GammaSemigroup(tuple(elements), tuple(gammas), _cube_from_tables(tabs))
+    for tabs in product(singles, repeat=k):
+        cube = tuple(zip(*tabs))
+        if _assoc_failure(cube) is not None:
+            continue
+        yield GammaSemigroup(tuple(elements), tuple(gammas), cube)
         emitted += 1
         if config.count and emitted >= config.count:
             return
@@ -300,15 +265,7 @@ def generate_structures(
             tuple(tuple(rng.below(n) for _ in range(n)) for _ in range(k))
             for _ in range(n)
         )
-        tables = [
-            tuple(cube[x][g] for x in range(n)) for g in range(k)
-        ]
-        if not all(_assoc_table(t, n) for t in tables):
-            continue
-        if k > 1 and not all(
-            _mixed_assoc(tables[i], tables[j], n)
-            for i in range(k) for j in range(k) if i != j
-        ):
+        if _assoc_failure(cube) is not None:
             continue
         yield GammaSemigroup(tuple(elements), tuple(gammas), cube)
         emitted += 1

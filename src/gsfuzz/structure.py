@@ -130,20 +130,30 @@ def validate_structure(
                 if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                     raise OutOfRangeEntry(elements[x], gammas[g], elements[y], v)
 
-    for x in range(n):
-        for b in range(k):
-            for y in range(n):
-                for g in range(k):
-                    for z in range(n):
-                        left = cube[cube[x][b][y]][g][z]
-                        right = cube[x][b][cube[y][g][z]]
-                        if left != right:
-                            raise AssociativityViolation(
-                                elements[x], gammas[b], elements[y],
-                                gammas[g], elements[z],
-                                elements[left], elements[right],
-                            )
+    bad = _assoc_failure(cube)
+    if bad is not None:
+        x, b, y, g, z = bad
+        raise AssociativityViolation(
+            elements[x], gammas[b], elements[y], gammas[g], elements[z],
+            elements[cube[cube[x][b][y]][g][z]], elements[cube[x][b][cube[y][g][z]]],
+        )
     return GammaSemigroup(elements, gammas, cube)
+
+
+def _assoc_failure(cube: Cube) -> tuple[int, int, int, int, int] | None:
+    """First (x, b, y, g, z) in scan order with (x b y) g z != x b (y g z)."""
+    rng, ops = range(len(cube)), range(len(cube[0]))
+    for x in rng:
+        for b in ops:
+            xb = cube[x][b]
+            for y in rng:
+                xby = cube[xb[y]]
+                for g in ops:
+                    left, yg = xby[g], cube[y][g]
+                    for z in rng:
+                        if left[z] != xb[yg[z]]:
+                            return (x, b, y, g, z)
+    return None
 
 
 def _check_subset(s: GammaSemigroup, a: Iterable[int]) -> CrispSubset:
@@ -183,14 +193,8 @@ def is_subsemigroup(s: GammaSemigroup, a: CrispSubset) -> bool:
 
 
 def is_bi_ideal(s: GammaSemigroup, a: CrispSubset) -> bool:
-    """Subsemigroup with A Gamma S Gamma A contained in A."""
-    if not is_subsemigroup(s, a):
-        return False
-    return all(
-        s.cayley[s.cayley[x][g][m]][h][y] in a
-        for x in a for g in range(s.k) for m in range(s.n)
-        for h in range(s.k) for y in a
-    )
+    """Subsemigroup with A Gamma S Gamma A = (A Gamma S) Gamma A contained in A."""
+    return is_subsemigroup(s, a) and gamma_product(s, gamma_product(s, a, range(s.n)), a) <= a
 
 
 def classify_subset(s: GammaSemigroup, a: Iterable[int]) -> SubsetClassification:
@@ -237,20 +241,10 @@ def is_intra_regular(s: GammaSemigroup) -> bool:
     """Every a equals x a a y under some choice of operators (exhaustive)."""
     rng, ops = range(s.n), range(s.k)
     for a in rng:
-        hit = False
-        for x in rng:
-            for al in ops:
-                u = s.cayley[x][al][a]
-                for be in ops:
-                    v = s.cayley[u][be][a]
-                    if any(s.cayley[v][ga][y] == a for ga in ops for y in rng):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                break
-        if not hit:
+        if not any(
+            s.cayley[s.cayley[s.cayley[x][al][a]][be][a]][ga][y] == a
+            for x in rng for al in ops for be in ops for ga in ops for y in rng
+        ):
             return False
     return True
 
@@ -316,19 +310,33 @@ def validate_homomorphism(
     for v in mapping:
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < target.n:
             raise IndexOutOfRange(f"mapped value {v!r} out of target range")
+    bad = _hom_failure(source, target, mapping)
+    if bad is not None:
+        x, g, y = bad
+        h = target.gamma_index[source.gammas[g]]
+        raise HomomorphismViolation(
+            source.elements[x], source.gammas[g], source.elements[y],
+            target.elements[mapping[source.cayley[x][g][y]]],
+            target.elements[target.cayley[mapping[x]][h][mapping[y]]],
+        )
+    return Homomorphism(source, target, mapping)
+
+
+def _hom_failure(
+    source: GammaSemigroup, target: GammaSemigroup, mapping: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """First (x, g, y) in scan order with f(x g y) != f(x) g f(y)."""
     # Gamma symbols may be listed in different orders on the two sides.
     tg = [target.gamma_index[name] for name in source.gammas]
-    for x in range(source.n):
-        for g in range(source.k):
-            for y in range(source.n):
-                lhs = mapping[source.cayley[x][g][y]]
-                rhs = target.cayley[mapping[x]][tg[g]][mapping[y]]
-                if lhs != rhs:
-                    raise HomomorphismViolation(
-                        source.elements[x], source.gammas[g], source.elements[y],
-                        target.elements[lhs], target.elements[rhs],
-                    )
-    return Homomorphism(source, target, mapping)
+    rng = range(source.n)
+    for x in rng:
+        fx = target.cayley[mapping[x]]
+        for g, row in enumerate(source.cayley[x]):
+            frow = fx[tg[g]]
+            for y in rng:
+                if mapping[row[y]] != frow[mapping[y]]:
+                    return (x, g, y)
+    return None
 
 
 def enumerate_homomorphisms(
@@ -337,12 +345,9 @@ def enumerate_homomorphisms(
     """Brute-force all (optionally surjective) homomorphisms source -> target."""
     if set(source.gammas) != set(target.gammas):
         return []
-    out = []
-    for mapping in product(range(target.n), repeat=source.n):
-        if surjective_only and len(set(mapping)) != target.n:
-            continue
-        try:
-            out.append(validate_homomorphism(source, target, mapping))
-        except HomomorphismViolation:
-            continue
-    return out
+    return [
+        Homomorphism(source, target, mapping)
+        for mapping in product(range(target.n), repeat=source.n)
+        if (not surjective_only or len(set(mapping)) == target.n)
+        and _hom_failure(source, target, mapping) is None
+    ]

@@ -203,3 +203,58 @@ def sweep_alpha_beta(
 ) -> bool:
     """(alpha, beta) subsemigroup, or bi-ideal when bi, by threshold sweep."""
     return first_alpha_beta_failure(mu, alpha, beta, bi) is None
+
+
+def first_assoc_failure(cube) -> tuple | None:
+    """First (x, b, y, g, z, left, right) with left = (x b y) g z differing
+    from right = x b (y g z), in (x, b, y, g, z) order, or None."""
+    n, k = len(cube), len(cube[0])
+
+    def op(x, g, y):
+        return cube[x][g][y]
+
+    for x, b, y, g, z in product(range(n), range(k), range(n), range(k), range(n)):
+        left, right = op(op(x, b, y), g, z), op(x, b, op(y, g, z))
+        if left != right:
+            return (x, b, y, g, z, left, right)
+    return None
+
+
+def first_hom_failure(source, target, mapping) -> tuple | None:
+    """First (x, g, y, f(x g y), f(x) g f(y)) where the two differ, in
+    (x, g, y) order, with the target operation picked by gamma name."""
+    for x, g, y in product(range(source.n), range(source.k), range(source.n)):
+        h = target.gammas.index(source.gammas[g])
+        lhs = mapping[source.op(x, g, y)]
+        rhs = target.op(mapping[x], h, mapping[y])
+        if lhs != rhs:
+            return (x, g, y, lhs, rhs)
+    return None
+
+
+def _gamma_set(s, a, b) -> set:
+    """A Gamma B by scanning every operation symbol."""
+    return {s.op(x, g, y) for x in a for g in range(s.k) for y in b}
+
+
+def regular_by_definition(s) -> bool:
+    """Every a lies in a Gamma S Gamma a."""
+    carrier = range(s.n)
+    return all(a in _gamma_set(s, _gamma_set(s, {a}, carrier), {a}) for a in carrier)
+
+
+def intra_regular_by_definition(s) -> bool:
+    """Every a lies in S Gamma a Gamma a Gamma S."""
+    carrier = range(s.n)
+    return all(
+        a in _gamma_set(s, _gamma_set(s, _gamma_set(s, carrier, {a}), {a}), carrier)
+        for a in carrier
+    )
+
+
+def bi_ideal_by_definition(s, a) -> bool:
+    """A Gamma A and A Gamma S Gamma A are contained in A, by a full scan."""
+    n, k = range(s.n), range(s.k)
+    return all(s.op(x, g, y) in a for x in a for g in k for y in a) and all(
+        s.op(s.op(x, g, m), h, y) in a for x in a for g in k for m in n for h in k for y in a
+    )

@@ -126,19 +126,19 @@ def test_roundtrip_random_names():
     pool = [f.structure for f in fixtures()]
     for trial in range(200):
         s0 = pool[rng.below(len(pool))]
-        names = _distinct_names(rng, s0.n + s0.k + 3)
+        names = _distinct_names(rng, s0.n + s0.k + 4)
         spoiled = trial % 2
         if spoiled:  # one name carries an unsafe mark
             i = rng.below(len(names))
             j = rng.below(len(names[i]) + 1)
             names[i] = names[i][:j] + _UNSAFE[rng.below(len(_UNSAFE))] + names[i][j:]
         elements, gammas = names[: s0.n], names[s0.n: s0.n + s0.k]
-        fuzzy_name, subset_name, map_name = names[s0.n + s0.k:]
+        fuzzy_name, subset_name, map_name, target = names[s0.n + s0.k:]
         s = validate_structure(elements, gammas, s0.cayley)
         mu = FuzzySubset(s, [F(rng.below(11), 10) for _ in range(s.n)])
         doc = document_for(s, {fuzzy_name: mu})
         doc.subsets[subset_name] = elements[: 1 + rng.below(s.n)]
-        doc.maps[map_name] = MapSpec("other.gsf", {el: elements[0] for el in elements})
+        doc.maps[map_name] = MapSpec(target, {el: elements[0] for el in elements})
         if spoiled:
             with pytest.raises(DocumentError):
                 print_document(doc)
@@ -148,7 +148,8 @@ def test_roundtrip_random_names():
 
 def test_parse_rejects_unsafe_names():
     for text in ("elements a:b\n", "elements a\ngammas g=h\n",
-                 "elements a\ngammas g\ntable g\na\nsubset A:B a\n"):
+                 "elements a\ngammas g\ntable g\na\nsubset A:B a\n",
+                 "elements a\ngammas g\ntable g\na\nmap f -> a b : a=a\n"):
         with pytest.raises(DocumentSyntaxError):
             parse(text)
 

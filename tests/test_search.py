@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from hashlib import sha256
 
 import pytest
 
@@ -30,6 +31,10 @@ GEN_N3_SEED42 = [
 FUZZ_EX34_SEED7 = [
     ("1/5", "0", "0"), ("0", "7/10", "7/10"), ("1/10", "9/10", "1/5"),
 ]
+# sha256 of repr([s.cayley ...]) over the whole exhaustive stream
+EXHAUSTIVE_SHA256 = {
+    (2, 2): "2824fb3b14dc7b75", (3, 1): "d3d712cc3778ee12", (3, 2): "c60d064ce5db4a12",
+}
 SPLITMIX_SEED0 = [
     16294208416658607535, 7960286522194355700, 487617019471545679,
 ]
@@ -68,14 +73,21 @@ def test_mod_surrogate_sizes():
 
 
 def test_exhaustive_counts():
+    def cubes(n, k):
+        return [s.cayley for s in generate_structures(GeneratorConfig(n=n, k=k), exhaustive=True)]
+
     def count(n, k):
-        return sum(1 for _ in generate_structures(GeneratorConfig(n=n, k=k), exhaustive=True))
+        return len(cubes(n, k))
 
     assert count(1, 1) == 1
     assert count(1, 2) == 1
     assert count(2, 1) == 8    # associative binary magmas on 2 elements
     assert count(2, 2) == 14
     assert count(3, 1) == 113
+    assert count(3, 2) == 413
+    # the emission order is pinned too: callers take prefixes of these streams
+    for (n, k), prefix in EXHAUSTIVE_SHA256.items():
+        assert sha256(repr(cubes(n, k)).encode()).hexdigest().startswith(prefix), (n, k)
     with pytest.raises(CarrierTooLarge):
         next(generate_structures(GeneratorConfig(n=4, k=1), exhaustive=True))
 
