@@ -218,16 +218,16 @@ def parse(text: str) -> StructureDocument:
             # map NAME -> TARGET : x=y ...
             if len(tokens) < 5 or tokens[2] != "->" or tokens[4] != ":":
                 raise DocumentSyntaxError("usage: map NAME -> FILE : x=y ...", line_no)
-            name = tokens[1]
-            _check_names([name], line_no)
+            name, target = tokens[1], tokens[3]
+            _check_names([name, target], line_no)
             if name in doc.maps:
                 raise DuplicateName(f"map {name!r} already given", line_no)
-            target = tokens[3]
             assignments = {}
             for tok in tokens[5:]:
                 src, eq, dst = tok.partition("=")
                 if not eq or src not in doc.elements:
                     raise DocumentSyntaxError(f"bad map assignment {tok!r}", line_no)
+                _check_names([dst], line_no)
                 assignments[src] = dst
             doc.maps[name] = MapSpec(target, assignments)
         else:

@@ -101,7 +101,8 @@ class FuzzySubset:
         if len(self.grades) != self.structure.n:
             raise InvalidGrade("one grade per carrier element required")
         for g in self.grades:
-            if not isinstance(g, Fraction) or not ZERO <= g <= ONE:
+            # a Fraction's denominator is positive, so this is 0 <= g <= 1
+            if not isinstance(g, Fraction) or not 0 <= g.numerator <= g.denominator:
                 raise InvalidGrade(f"grade {g!r} outside [0,1]")
 
     @classmethod

@@ -22,7 +22,6 @@ from typing import Callable
 
 from .errors import EmptyFuzzySubset, InvalidAlpha, StructureMismatch, UnknownPredicateName
 from .fuzzy import (
-    HALF,
     IN,
     ONE,
     FuzzySubset,
@@ -97,79 +96,87 @@ class PredicateVerdict:
 _TRUE = PredicateVerdict(True)
 
 
-def _require_nonempty(mu: FuzzySubset) -> None:
-    if mu.is_zero:
+def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
+    """mu's grades times a common even base (which keeps every comparison,
+    with 1/2 at base // 2), and that base; the zero fuzzy subset is refused."""
+    base = 2 * lcm(2, *[g.denominator for g in mu.grades])
+    scaled = [g.numerator * (base // g.denominator) for g in mu.grades]
+    if not any(scaled):
         raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
+    return scaled, base
 
 
-def _capped(mu: FuzzySubset) -> list[Fraction]:
-    """min(mu(x), 1/2) per element: the bound vector of the (in, in-or-q) forms."""
-    _require_nonempty(mu)
-    return [g if g < HALF else HALF for g in mu.grades]
+def _capped(mu: FuzzySubset) -> tuple[list[int], list[int], int]:
+    """Scaled grades, their min with 1/2 (the bound vector of the (in,
+    in-or-q) forms), and the base."""
+    g, base = _scaled_grades(mu)
+    half = base // 2
+    return g, [v if v < half else half for v in g], base
 
 
 # The closed forms are one inequality in two shapes, both scanned in the
-# pinned witness order and skipping every product whose bound is 0:
-#   pair:     mu(x g y) >= min(left[x], right[y])
-#   sandwich: mu(x a y b z) >= min(c[x], c[z])
+# pinned witness order over scaled integer grades g, skipping every product
+# whose bound is 0:
+#   pair:     g(x c y) >= min(left[x], right[y])
+#   sandwich: g(x a y b z) >= min(c[x], c[z])
 # A decider only chooses its bound vectors.  The loops stay inline because
 # the witness hunts call the deciders on many tiny subsets.
 
 
-def _pair_scan(mu: FuzzySubset, left, right) -> PredicateVerdict:
-    s, g = mu.structure, mu.grades
-    for x in range(s.n):
+def _pair_scan(s, g: list[int], left, right) -> PredicateVerdict:
+    n, k = range(s.n), range(s.k)
+    for x in n:
         lx = left[x]
         if not lx:
             continue
         row = s.cayley[x]
-        for y in range(s.n):
+        for y in n:
             ry = right[y]
             bound = lx if lx < ry else ry
             if not bound:
                 continue
-            for gm in range(s.k):
+            for gm in k:
                 if g[row[gm][y]] < bound:
                     return PredicateVerdict(False, Witness(x, y, gm))
     return _TRUE
 
 
-def _sandwich_scan(mu: FuzzySubset, c) -> PredicateVerdict:
-    s, g = mu.structure, mu.grades
+def _sandwich_scan(s, g: list[int], c: list[int]) -> PredicateVerdict:
     cayley = s.cayley
-    for x in range(s.n):
+    n, k = range(s.n), range(s.k)
+    for x in n:
         cx = c[x]
         if not cx:
             continue
         bounds = [cx if cx < cz else cz for cz in c]
-        for y in range(s.n):
-            for z in range(s.n):
+        for y in n:
+            for z in n:
                 bound = bounds[z]
                 if not bound:
                     continue
-                for a in range(s.k):
+                for a in k:
                     u = cayley[cayley[x][a][y]]
-                    for b in range(s.k):
+                    for b in k:
                         if g[u[b][z]] < bound:
                             return PredicateVerdict(False, Witness(x, y, a, z, b))
     return _TRUE
 
 
-def _bi_ideal_scan(mu: FuzzySubset, c) -> PredicateVerdict:
-    first = _pair_scan(mu, c, c)
-    return _sandwich_scan(mu, c) if first.holds else first
+def _bi_ideal_scan(s, g: list[int], c: list[int]) -> PredicateVerdict:
+    first = _pair_scan(s, g, c, c)
+    return _sandwich_scan(s, g, c) if first.holds else first
 
 
 def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
     """mu(x g y) >= min(mu(x), mu(y)) for all x, y, g."""
-    _require_nonempty(mu)
-    return _pair_scan(mu, mu.grades, mu.grades)
+    g, _ = _scaled_grades(mu)
+    return _pair_scan(mu.structure, g, g, g)
 
 
 def is_fuzzy_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
     """Fuzzy subsemigroup with mu(x a y b z) >= min(mu(x), mu(z))."""
-    _require_nonempty(mu)
-    return _bi_ideal_scan(mu, mu.grades)
+    g, _ = _scaled_grades(mu)
+    return _bi_ideal_scan(mu.structure, g, g)
 
 
 def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
@@ -178,22 +185,24 @@ def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
     Pairs outside the support are vacuous (the bound is 0 there), so this is
     the closed form of the (in, in-or-q) subsemigroup predicate.
     """
-    c = _capped(mu)
-    return _pair_scan(mu, c, c)
+    g, c, _ = _capped(mu)
+    return _pair_scan(mu.structure, g, c, c)
 
 
 def is_eq_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
     """is_eq_subsemigroup plus mu(x a y b z) >= min(mu(x), mu(z), 1/2)."""
-    return _bi_ideal_scan(mu, _capped(mu))
+    g, c, _ = _capped(mu)
+    return _bi_ideal_scan(mu.structure, g, c)
 
 
 def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
     """Left: mu(x g y) >= min(mu(y), 1/2).  Right: >= min(mu(x), 1/2)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    c = _capped(mu)
-    ones = (ONE,) * len(c)
-    return _pair_scan(mu, ones, c) if side == "left" else _pair_scan(mu, c, ones)
+    g, c, base = _capped(mu)
+    ones = (base,) * len(c)
+    s = mu.structure
+    return _pair_scan(s, g, ones, c) if side == "left" else _pair_scan(s, g, c, ones)
 
 
 def is_eq_ideal(mu: FuzzySubset) -> PredicateVerdict:
@@ -235,11 +244,6 @@ def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
 # function of the grade triple alone, so each distinct triple is decided once
 # per call, in a memo local to that call.
 # ------------------------------------------------------------------
-
-
-def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
-    base = 2 * lcm(2, *(g.denominator for g in mu.grades))
-    return [g.numerator * (base // g.denominator) for g in mu.grades], base
 
 
 def _candidates(base: int, gx: int, gz: int, gw: int) -> list[int]:
@@ -317,7 +321,6 @@ class _CellMemo(dict):
 def _alpha_beta_scan(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
     """First failing product over (x, y, gamma), then with bi over
     (x, y, a, z, b), refuted at its first failing cell."""
-    _require_nonempty(mu)
     s = mu.structure
     cayley = s.cayley
     g, base = _scaled_grades(mu)

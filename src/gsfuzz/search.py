@@ -19,7 +19,7 @@ from .errors import (
     CarrierTooLarge,
     UnknownPredicateName,
 )
-from .fuzzy import FuzzySubset, characteristic, o05_product, pointwise_family
+from .fuzzy import FuzzySubset, characteristic, o05_product
 from .predicates import (
     _resolve_predicate,
     check_by_name,
@@ -273,18 +273,18 @@ def generate_structures(
 
 def grid_subsets(structure: GammaSemigroup, grid: int) -> Iterator[FuzzySubset]:
     """All non-zero fuzzy subsets with grades in {0, 1/d, ..., 1}, lex order."""
-    for vec in product(range(grid + 1), repeat=structure.n):
-        if not any(vec):
-            continue
-        yield FuzzySubset(structure, tuple(Fraction(v, grid) for v in vec))
+    for vec in product([Fraction(v, grid) for v in range(grid + 1)], repeat=structure.n):
+        if any(vec):
+            yield FuzzySubset(structure, vec)
 
 
 def random_fuzzy(structure: GammaSemigroup, config: GeneratorConfig) -> Iterator[FuzzySubset]:
     """Seeded stream of non-zero fuzzy subsets with grades on the d-grid."""
     rng = SplitMix64(config.seed)
+    steps = [Fraction(v, config.grid) for v in range(config.grid + 1)]
     emitted = 0
     while emitted < config.count:
-        vec = tuple(Fraction(rng.below(config.grid + 1), config.grid) for _ in range(structure.n))
+        vec = tuple(steps[rng.below(config.grid + 1)] for _ in range(structure.n))
         if not any(vec):
             continue
         yield FuzzySubset(structure, vec)
@@ -302,11 +302,12 @@ def sample_eq_bi_ideals(
     """
     cap = max_attempts or 400 * max(count, 1)
     rng = SplitMix64(seed)
+    steps = [Fraction(v, grid) for v in range(grid + 1)]
     out: list[FuzzySubset] = []
     for _ in range(cap):
         if len(out) >= count:
             break
-        vec = tuple(Fraction(rng.below(grid + 1), grid) for _ in range(structure.n))
+        vec = tuple(steps[rng.below(grid + 1)] for _ in range(structure.n))
         if not any(vec):
             continue
         mu = FuzzySubset(structure, vec)
@@ -464,17 +465,28 @@ def find_witness(
                 if tree.evaluate(lambda decide, pair: decide(mu).holds):
                     return WitnessSearch(True, s, (mu,), n_struct, n_sub)
         else:
+            # Each (atom, grid subset) is decided at most once per structure.
+            # vecs[i] is grid * pool[i].grades (both in grid_subsets order),
+            # so the union of two grid subsets is found by its integer vector.
             pool = list(grid_subsets(s, grid))
-            for m1 in pool:
-                for m2 in pool:
+            vecs = [v for v in product(range(grid + 1), repeat=s.n) if any(v)]
+            where = {v: i for i, v in enumerate(vecs)}
+            verdicts: dict = {}
+
+            def holds(decide, index: int) -> bool:
+                if (decide, index) not in verdicts:
+                    verdicts[decide, index] = decide(pool[index]).holds
+                return verdicts[decide, index]
+
+            def lookup(decide, pair) -> bool:
+                if pair:
+                    return holds(decide, i) and holds(decide, j)
+                return holds(decide, u)
+
+            for i, v1 in enumerate(vecs):
+                for j, v2 in enumerate(vecs):
                     n_sub += 1
-                    union = pointwise_family("max", [m1, m2])
-
-                    def lookup(decide, pair) -> bool:
-                        if pair:
-                            return decide(m1).holds and decide(m2).holds
-                        return decide(union).holds
-
+                    u = where[tuple(map(max, v1, v2))]
                     if tree.evaluate(lookup):
-                        return WitnessSearch(True, s, (m1, m2, union), n_struct, n_sub)
+                        return WitnessSearch(True, s, (pool[i], pool[j], pool[u]), n_struct, n_sub)
     return WitnessSearch(False, None, (), n_struct, n_sub)

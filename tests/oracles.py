@@ -8,10 +8,12 @@ triples instead of the precomputed factorization lists.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, product
 
 from gsfuzz import FuzzySubset
+from gsfuzz.search import parse_want
 from gsfuzz.fuzzy import (
     HALF,
     IN_OR_Q,
@@ -258,3 +260,49 @@ def bi_ideal_by_definition(s, a) -> bool:
     return all(s.op(x, g, y) in a for x in a for g in k for y in a) and all(
         s.op(s.op(x, g, m), h, y) in a for x in a for g in k for m in n for h in k for y in a
     )
+
+
+def _want_atoms(tree) -> list:
+    """The (name, decide, is_pair) of every atom of a parsed --want tree."""
+    if tree.kind == "atom":
+        return [tree.parts]
+    return [atom for part in tree.parts for atom in _want_atoms(part)]
+
+
+def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
+    """find_witness re-derived with no memo: (found, structure, witness
+    grades, structures scanned, candidates scanned).
+
+    Grid subsets are rebuilt from integer vectors in lexicographic order.
+    A unary hunt decides every atom on each subset; a pair hunt scans every
+    ordered pair, builds its union by pointwise max and re-decides a pair
+    atom on both operands and a unary atom on the union, each time it is
+    evaluated.
+    """
+    tree = parse_want(want)
+    pair_mode = any(is_pair for _, _, is_pair in _want_atoms(tree))
+    n_struct = n_sub = 0
+    for s in structures:
+        n_struct += 1
+        pool = [
+            FuzzySubset(s, tuple(Fraction(v, grid) for v in vec))
+            for vec in product(range(grid + 1), repeat=s.n) if any(vec)
+        ]
+        if not pair_mode:
+            for mu in pool:
+                n_sub += 1
+                if tree.evaluate(lambda decide, pair: decide(mu).holds):
+                    return True, s, (mu.grades,), n_struct, n_sub
+            continue
+        for m1, m2 in product(pool, repeat=2):
+            n_sub += 1
+            union = FuzzySubset(s, tuple(max(a, b) for a, b in zip(m1.grades, m2.grades)))
+
+            def lookup(decide, pair) -> bool:
+                if pair:
+                    return decide(m1).holds and decide(m2).holds
+                return decide(union).holds
+
+            if tree.evaluate(lookup):
+                return True, s, (m1.grades, m2.grades, union.grades), n_struct, n_sub
+    return False, None, (), n_struct, n_sub

@@ -149,7 +149,9 @@ def test_roundtrip_random_names():
 def test_parse_rejects_unsafe_names():
     for text in ("elements a:b\n", "elements a\ngammas g=h\n",
                  "elements a\ngammas g\ntable g\na\nsubset A:B a\n",
-                 "elements a\ngammas g\ntable g\na\nmap f -> a b : a=a\n"):
+                 "elements a\ngammas g\ntable g\na\nmap f -> a b : a=a\n",
+                 "elements a\ngammas g\ntable g\na\nmap f -> C:x.gsf : a=a\n",
+                 "elements a\ngammas g\ntable g\na\nmap f -> t.gsf : a=b=c\n"):
         with pytest.raises(DocumentSyntaxError):
             parse(text)
 

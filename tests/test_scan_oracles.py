@@ -8,7 +8,9 @@ all 24 pairs (beta negated or not), must agree with a critical-threshold
 sweep through point_satisfies on the verdict and the failing position, and
 on the first refuting (t, r) among the cell representatives cut by the
 grades involved.  They are also checked on a slice of order-4 structures
-with one and with two operation symbols.
+with one and with two operation symbols, and on grades that mix
+denominators (thirds, sevenths, twelfths next to exactly 1/2 and 1), where
+the common base of the scaled integer kernels is not the 1/10 grid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from gsfuzz import (
     is_fuzzy_bi_ideal,
     is_fuzzy_subsemigroup,
 )
-from gsfuzz.search import GeneratorConfig, random_fuzzy
+from fractions import Fraction
+
+from gsfuzz import FuzzySubset
+from gsfuzz.search import GeneratorConfig, SplitMix64, random_fuzzy
 
 from corpus import exhaustive, size4_structures
 from oracles import first_alpha_beta_failure, first_closed_failure
@@ -68,8 +73,25 @@ def _order4_slice() -> list:
     return [pair for k in (1, 2) for pair in _seeded(size4_structures(k=k, count=8), 2)]
 
 
-def test_closed_forms_match_definitional_scan():
-    corpus = _corpus(per_n3=8)
+MIXED_GRADES = [Fraction(v) for v in ("0", "1/3", "2/7", "5/12", "1/2", "1", "3/4", "5/6", "4/7")]
+
+
+def _mixed_denominators() -> list:
+    """Seeded fuzzy subsets with grades drawn from MIXED_GRADES, on every
+    structure of the corpus shapes and the order-4 slice."""
+    structures = [s for (n, k) in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)) for s in exhaustive(n, k)]
+    structures += [s for k in (1, 2) for s in size4_structures(k=k, count=8)]
+    pairs = []
+    for i, s in enumerate(structures):
+        rng = SplitMix64(7000 + i)
+        while len(pairs) < 3 * (i + 1):
+            grades = tuple(MIXED_GRADES[rng.below(len(MIXED_GRADES))] for _ in range(s.n))
+            if any(grades):
+                pairs.append((s, FuzzySubset(s, grades)))
+    return pairs
+
+
+def _check_closed_forms(corpus) -> None:
     refuted = 0
     for _, mu in corpus:
         for name, decide in CLOSED.items():
@@ -82,9 +104,17 @@ def test_closed_forms_match_definitional_scan():
     assert refuted > len(corpus)  # the corpus exercises the witnesses
 
 
+def test_closed_forms_match_definitional_scan():
+    _check_closed_forms(_corpus(per_n3=8) + _order4_slice())
+
+
+def test_closed_forms_match_on_mixed_denominators():
+    _check_closed_forms(_mixed_denominators())
+
+
 def test_alpha_beta_deciders_match_threshold_sweep():
     outcomes = set()
-    for _, mu in _corpus(per_n3=2) + _order4_slice():
+    for _, mu in _corpus(per_n3=2) + _order4_slice() + _mixed_denominators()[::8]:
         for pair in PAIRS:
             for bi, decide in ((False, is_alpha_beta_subsemigroup), (True, is_alpha_beta_bi_ideal)):
                 verdict = decide(mu, pair)

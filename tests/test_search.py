@@ -24,6 +24,9 @@ from gsfuzz.search import (
     sample_eq_bi_ideals,
 )
 
+from corpus import exhaustive
+from oracles import find_witness_by_definition
+
 # seeded-stream goldens, frozen from the first recorded run
 GEN_N3_SEED42 = [
     "010111010", "000000001", "111111012", "000222222", "002002220",
@@ -229,3 +232,35 @@ def test_generator_config_validation():
         GeneratorConfig(n=0, k=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n=1, k=1, count=-1)
+
+
+HUNTS = (
+    "union_of_two_eq_subsemigroups AND NOT eq_subsemigroup",
+    "union_of_two_eq_bi_ideals AND NOT eq_bi_ideal",
+    "union_of_two_eq_bi_ideals AND NOT fuzzy_bi_ideal AND (eq-left-ideal OR NOT eq_right_ideal)",
+    "eq_subsemigroup AND NOT fuzzy_subsemigroup",
+    "eq_ideal AND NOT eq_bi_ideal",
+)
+
+
+def _hunt_outcome(structures, want, grid):
+    res = find_witness(structures, want, grid)
+    grades = tuple(mu.grades for mu in res.subsets)
+    return res.found, res.structure, grades, res.structures_scanned, res.subsets_scanned
+
+
+def test_find_witness_matches_unmemoized_hunt():
+    # every n <= 2 structure and a few n = 3 ones, alone and as one stream;
+    # the pair hunts decide atoms from a per-call memo, the oracle does not
+    small = [s for n, k in ((1, 1), (1, 2), (2, 1), (2, 2)) for s in exhaustive(n, k)]
+    triples = exhaustive(3, 1)[::20] + exhaustive(3, 2, count=60)[::30]
+    outcomes = set()
+    for want in HUNTS:
+        cases = [([s], grid) for s in small for grid in (2, 3)]
+        cases += [([s], grid) for s in triples for grid in (2, 3)]
+        cases += [(small, 2), (triples, 2)]
+        for structures, grid in cases:
+            got = _hunt_outcome(structures, want, grid)
+            assert got == find_witness_by_definition(structures, want, grid), (want, grid)
+            outcomes.add((want.startswith("union"), got[0]))
+    assert outcomes == {(pair, found) for pair in (True, False) for found in (True, False)}
