@@ -2,9 +2,9 @@
 
 Two kinds of decider live here.  The closed-form ones check a pointwise
 inequality (optionally capped at 1/2) by scanning all products.  The generic
-(alpha, beta) decider quantifies over all point values t, r in (0,1]; that
-quantification is reduced exactly to a finite cell sample, see
-is_alpha_beta_subsemigroup.
+(alpha, beta) decider quantifies over all point values t, r in (0,1]; each
+product's verdict is one integer bound on its grade, and a finite cell sample
+chooses only the (t, r) of the witness, see the note above _candidates.
 
 All verdicts carry a witness when they are negative, chosen as the
 lexicographically first failure in element / gamma / candidate-value order so
@@ -207,9 +207,7 @@ def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
 
 def is_eq_ideal(mu: FuzzySubset) -> PredicateVerdict:
     left = is_eq_one_sided_ideal(mu, "left")
-    if not left.holds:
-        return left
-    return is_eq_one_sided_ideal(mu, "right")
+    return is_eq_one_sided_ideal(mu, "right") if left.holds else left
 
 
 def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
@@ -230,19 +228,19 @@ def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
 # ------------------------------------------------------------------
 # Generic (alpha, beta) decider.
 #
-# The predicate quantifies t, r over the continuum (0,1].  Every atomic
-# condition it evaluates is of the form value <= c or value > c where c is
-# drawn from {mu(x), 1-mu(x), mu(y), 1-mu(y), mu(w), 1-mu(w), 1} (w the
-# product), so the predicate is constant on each cell of the subdivision of
-# (0,1] induced by those breakpoints.  min(t, r) of two cell representatives
-# is itself the representative of the min cell, hence testing all pairs of
-# representatives decides the full quantification exactly.
+# Whether a product w of x and z fails depends only on a = mu(x), c = mu(z)
+# and mu(w).  On grades scaled to a common even base B (H = B // 2 is 1/2),
+# w fails exactly when a, c > 0 and key(w) < U(a, c), with key the scaled
+# grade and U: min(a, c) for (in,in), min(a, c, H) for (in,invq), max(a, c)
+# for (q,q), min(max(a, c), H) for (q,invq) and (invq,invq), B for the seven
+# other pairs.  Negated beta is the dual: x_t not-beta mu iff x_t beta* 1-mu,
+# beta* swapping in/q and invq/inandq, so (alpha, not-beta) decides as
+# (alpha, beta*) on key(w) = B - mu(w).  Tests pin each bound to the sampler.
 #
-# Grades are rescaled to a common even integer base so breakpoints are even
-# integers and every open cell contains an integer representative; the inner
-# loops then run on plain ints.  The first failing cell of a product is a
-# function of the grade triple alone, so each distinct triple is decided once
-# per call, in a memo local to that call.
+# The cell sampler picks the witness's (t, r) on the first failing product.
+# Its conditions compare t, r with mu(x), mu(z), mu(w), their complements or
+# 1, so the implication is constant on the cells those breakpoints cut out
+# of (0,1]; min(t, r) of two representatives represents the min cell.
 # ------------------------------------------------------------------
 
 
@@ -301,21 +299,36 @@ def _failing_cell(
     return None
 
 
-def _refuted_at(cell: tuple[int, int], base: int, *where: int) -> PredicateVerdict:
-    t, r = cell
+_DUAL = {RelKind.IN: RelKind.Q, RelKind.Q: RelKind.IN,
+         RelKind.IN_OR_Q: RelKind.IN_AND_Q, RelKind.IN_AND_Q: RelKind.IN_OR_Q}
+# (alpha, plain beta) -> how U combines a and c, and the divisor of B capping it
+_BOUND_RULES = {
+    (RelKind.IN, RelKind.IN): (min, 1), (RelKind.IN, RelKind.IN_OR_Q): (min, 2),
+    (RelKind.Q, RelKind.Q): (max, 1), (RelKind.Q, RelKind.IN_OR_Q): (max, 2),
+    (RelKind.IN_OR_Q, RelKind.IN_OR_Q): (max, 2),
+}
+
+
+def _product_bounds(pair: AlphaBetaPair, g: list[int], base: int) -> tuple[list, list]:
+    """key and U of the closed form above, for the scaled grades g: the
+    product w of x and z fails exactly when key[w] < U[x][z]."""
+    beta, key = pair.beta.kind, g
+    if pair.beta.negated:
+        beta, key = _DUAL[beta], [base - v for v in g]
+    rule = _BOUND_RULES.get((pair.alpha.kind, beta))
+    if rule is None:  # U = B on the support
+        combine, c = min, [base if v else 0 for v in g]
+    else:
+        combine, cap = rule[0], base // rule[1]
+        c = [v if v < cap else cap for v in g]
+    if combine is max:  # compared inline: this runs on every decider call
+        return key, [[(a if a > b else b) if a and b else 0 for b in c] for a in c]
+    return key, [[a if a < b else b for b in c] for a in c]
+
+
+def _refuted_at(pair: AlphaBetaPair, base: int, gx: int, gz: int, gw: int, *where: int):
+    t, r = _failing_cell(pair, base, gx, gz, gw)
     return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
-
-
-class _CellMemo(dict):
-    """(g[x], g[z], g[w]) -> _failing_cell of that triple, filled on first use."""
-
-    def __init__(self, pair: AlphaBetaPair, base: int):
-        super().__init__()
-        self.pair, self.base = pair, base
-
-    def __missing__(self, key):
-        found = self[key] = _failing_cell(self.pair, self.base, *key)
-        return found
 
 
 def _alpha_beta_scan(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
@@ -324,34 +337,39 @@ def _alpha_beta_scan(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> Predicat
     s = mu.structure
     cayley = s.cayley
     g, base = _scaled_grades(mu)
-    cells = _CellMemo(pair, base)
+    key, bounds = _product_bounds(pair, g, base)
     n, k = range(s.n), range(s.k)
     for x in n:
-        gx, row = g[x], cayley[x]
+        ux, row = bounds[x], cayley[x]
         for y in n:
-            gy = g[y]
+            u = ux[y]
+            if not u:
+                continue
             for gm in k:
-                if found := cells[gx, gy, g[row[gm][y]]]:
-                    return _refuted_at(found, base, x, y, gm)
+                if key[w := row[gm][y]] < u:
+                    return _refuted_at(pair, base, g[x], g[y], g[w], x, y, gm)
     if bi:
         for x in n:
-            gx = g[x]
+            ux = bounds[x]
             for y in n:
                 for z in n:
-                    gz = g[z]
+                    u = ux[z]
+                    if not u:
+                        continue
                     for a in k:
-                        u = cayley[cayley[x][a][y]]
+                        v = cayley[cayley[x][a][y]]
                         for b in k:
-                            if found := cells[gx, gz, g[u[b][z]]]:
-                                return _refuted_at(found, base, x, y, a, z, b)
+                            if key[w := v[b][z]] < u:
+                                return _refuted_at(pair, base, g[x], g[z], g[w], x, y, a, z, b)
     return _TRUE
 
 
 def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """x_t, y_r alpha mu implies (x g y)_min(t,r) beta mu, for all t, r.
 
-    Decided exactly by cell sampling (see the note above); the witness
-    carries the first failing candidate pair (t, r).
+    Decided exactly by one closed-form bound per product (see the note
+    above _candidates); the witness carries the first failing cell (t, r)
+    of the first failing product.
     """
     return _alpha_beta_scan(mu, pair, bi=False)
 
@@ -379,27 +397,28 @@ _NAMED = {
     "eq-ideal": is_eq_ideal,
 }
 _AB_FORMS = {"subsemigroup": is_alpha_beta_subsemigroup, "bi-ideal": is_alpha_beta_bi_ideal}
+_A, _B, _FORM = "(in|q|invq)", "((?:not-)?(?:in|q|invq|inandq))", "(subsemigroup|bi-ideal)"
 
 
 def _resolve_predicate(name: str) -> Callable[[FuzzySubset], PredicateVerdict]:
     """The decider a predicate name stands for; '_' and '-' spell alike.
 
-    Names: fuzzy-subsemigroup, fuzzy-bi-ideal, eq-subsemigroup, eq-bi-ideal,
-    eq-left-ideal, eq-right-ideal, eq-ideal, and the (alpha, beta) forms
-    ab-subsemigroup:A,B and ab-bi-ideal:A,B, also written A-B-subsemigroup
-    and A-B-bi-ideal, with A one of in, q, invq and B one of in, q, invq,
-    inandq, optionally not- negated.
+    Names, lower case only: fuzzy-subsemigroup, fuzzy-bi-ideal,
+    eq-subsemigroup, eq-bi-ideal, eq-left-ideal, eq-right-ideal, eq-ideal,
+    and the (alpha, beta) forms ab-subsemigroup:A,B and ab-bi-ideal:A,B, also
+    written A-B-subsemigroup and A-B-bi-ideal, with A one of in, q, invq and
+    B one of in, q, invq, inandq, optionally not- negated.
     """
     spelled = name.replace("_", "-")
     if spelled in _NAMED:
         return _NAMED[spelled]
-    if m := re.fullmatch(r"ab-(subsemigroup|bi-ideal):(.+)", spelled):
-        form, spec = m.groups()
-    elif m := re.fullmatch(r"(\w+)-(.+)-(subsemigroup|bi-ideal)", spelled):
-        spec, form = f"{m[1]},{m[2]}", m[3]
+    if m := re.fullmatch(f"ab-{_FORM}:{_A},{_B}", spelled):
+        form, alpha, beta = m.groups()
+    elif m := re.fullmatch(f"{_A}-{_B}-{_FORM}", spelled):
+        alpha, beta, form = m.groups()
     else:
         raise UnknownPredicateName(f"unknown predicate name {name!r}")
-    return partial(_AB_FORMS[form], pair=AlphaBetaPair.parse(spec))
+    return partial(_AB_FORMS[form], pair=AlphaBetaPair.parse(f"{alpha},{beta}"))
 
 
 def check_by_name(name: str, mu: FuzzySubset) -> PredicateVerdict:

@@ -404,7 +404,7 @@ def parse_want(text: str) -> _Expr:
                 raise UnknownPredicateName("missing closing parenthesis")
             take()
             return e
-        name = take().lower()
+        name = take()
         pair = _pair_decider(name)
         return _Expr("atom", name, pair or _resolve_predicate(name), pair is not None)
 

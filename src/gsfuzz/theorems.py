@@ -93,7 +93,7 @@ def _level_is(mu: FuzzySubset, check, upper=HALF) -> bool:
 def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
     """thm3.2: five equivalent forms of the (in, in-or-q) subsemigroup predicate.
 
-    (1) the point-implication form, decided by cell sampling;
+    (1) the point-implication form, decided by its closed-form bound;
     (2) the 1/2-capped inequality;
     (3) mu o mu is contained in-or-q in mu;
     (4) mu o mu capped at 1/2 <= mu pointwise;

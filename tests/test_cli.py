@@ -241,6 +241,19 @@ def test_cli_check_bad_predicate_names(tmp_path, capsys):
         assert "error:" in out
 
 
+def test_cli_predicate_names_are_lower_case(tmp_path, capsys):
+    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
+    for pred in ("FUZZY-SUBSEMIGROUP", "AB-subsemigroup:in,q", "IN-Q-subsemigroup",
+                 "ab-subsemigroup: in , q", "ab-bi-ideal:in,NOT-q"):
+        code, out = _run(capsys, ["check", path, "--fuzzy", "mu", "--pred", pred])
+        assert (code, out) == (2, f"error: unknown predicate name {pred!r}\n"), pred
+    code, out = _run(capsys, ["search", "--want", "EQ_SUBSEMIGROUP AND NOT fuzzy_subsemigroup",
+                              "--n", "2", "--k", "1", "--grid", "4", "--count", "10"])
+    assert (code, out) == (2, "error: unknown predicate name 'EQ_SUBSEMIGROUP'\n")
+    code, out = _run(capsys, ["check", path, "--fuzzy", "mu", "--pred", "in_not_q_bi_ideal"])
+    assert code == 0 and "holds:" in out
+
+
 def test_cli_zero_fuzzy_is_a_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "zero.gsf", EX34_TEXT + "fuzzy zero e=0\n")
     for argv in (["check", path, "--fuzzy", "zero", "--pred", "eq-subsemigroup"],

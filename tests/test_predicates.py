@@ -1,5 +1,7 @@
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -19,18 +21,29 @@ from gsfuzz import (
     is_fuzzy_bi_ideal,
     is_fuzzy_subsemigroup,
     o_product,
+    predicates,
     subset_or_q,
     support,
     validate_structure,
 )
 from gsfuzz.errors import EmptyFuzzySubset, InvalidAlpha, UnknownPredicateName
-from gsfuzz.fuzzy import HALF, IN, ONE, FuzzyPoint, PointRelation, point_satisfies
-from gsfuzz.predicates import PredicateVerdict, Witness
+from gsfuzz.fuzzy import (
+    HALF,
+    IN,
+    ONE,
+    FuzzyPoint,
+    PointRelation,
+    critical_thresholds,
+    point_satisfies,
+)
+from gsfuzz.predicates import PredicateVerdict, Witness, _failing_cell, _product_bounds
 from gsfuzz.search import GeneratorConfig, find_witness, generate_structures, random_fuzzy
 from gsfuzz.structure import classify_subset
 
 ALPHAS = ("in", "q", "invq")
 BETAS = ("in", "q", "invq", "inandq")
+# all 24 (alpha, beta) pairs, negated beta included
+ALL_PAIRS = [f"{a},{n}{b}" for a in ALPHAS for n in ("", "not-") for b in BETAS]
 
 # the (alpha, beta) combinations Example 4.6 refutes, plus (in, in)
 REFUTED_PAIRS = [
@@ -160,6 +173,97 @@ def test_alpha_beta_negated_beta_accepted(ex34):
     one = constant(ex34.structure, 1)
     v = is_alpha_beta_subsemigroup(one, AlphaBetaPair.parse("in,not-in"))
     assert not v.holds and v.witness is not None
+
+
+def _scaled(values):
+    """The base the deciders scale these grades to, and the scaled grades."""
+    base = 2 * lcm(2, *(F(v).denominator for v in values))
+    return base, [int(F(v) * base) for v in values]
+
+
+def _grid(d):
+    return [F(i, d) for i in range(d + 1)]
+
+
+def _sampler_fails(spec, base, scaled):
+    """Per triple (a, c, w) of scaled grades: does the cell sampler refute it?"""
+    pair = AlphaBetaPair.parse(spec)
+    return tuple(_failing_cell(pair, base, *t) is not None for t in product(scaled, repeat=3))
+
+
+def _bound_fails(spec, base, scaled):
+    """The same, by the closed-form bound, in the same triple order."""
+    key, bounds = _product_bounds(AlphaBetaPair.parse(spec), scaled, base)
+    at = range(len(scaled))
+    return tuple(key[w] < bounds[a][c] for a, c, w in product(at, repeat=3))
+
+
+@pytest.fixture(scope="module")
+def grid24_sampler():
+    """The scaled 1/24 grid and each pair's sampler verdicts on its triples."""
+    base, scaled = _scaled(_grid(24))
+    return base, scaled, {spec: _sampler_fails(spec, base, scaled) for spec in ALL_PAIRS}
+
+
+def test_alpha_beta_bounds_match_sampler(grid24_sampler):
+    # a, c and w each run over the whole grid, so a = 0 and c = 0 are covered
+    mixed = [0, F(1, 5), F(1, 4), F(1, 3), F(2, 5), HALF, F(2, 3), F(3, 4), F(4, 5), 1]
+    for values in (_grid(12), _grid(7), mixed):
+        base, scaled = _scaled(values)
+        for spec in ALL_PAIRS:
+            assert _bound_fails(spec, base, scaled) == _sampler_fails(spec, base, scaled), (
+                spec, values)
+    base, scaled, sampled = grid24_sampler
+    for spec in ALL_PAIRS:
+        assert _bound_fails(spec, base, scaled) == sampled[spec], spec
+
+
+def test_alpha_beta_pairs_fall_into_ten_regions(grid24_sampler):
+    _, _, sampled = grid24_sampler
+    classes = defaultdict(set)
+    for spec, fails in sampled.items():
+        classes[fails].add(spec)
+    regions = {frozenset(c) for c in classes.values()}
+    assert len(regions) == 10
+    assert {
+        frozenset({"in,q", "in,inandq", "q,in", "q,inandq", "invq,in", "invq,q",
+                   "invq,inandq"}),
+        frozenset({"in,not-in", "in,not-invq", "q,not-q", "q,not-invq", "invq,not-in",
+                   "invq,not-q", "invq,not-invq"}),
+        frozenset({"q,invq", "invq,invq"}),
+        frozenset({"q,not-inandq", "invq,not-inandq"}),
+    } <= regions
+
+
+def test_negated_beta_is_dual_at_points(ex34, ex46, ex427):
+    # x_t not-beta mu iff x_t beta* (1 - mu), beta* swapping in/q and invq/inandq
+    dual = {"in": "q", "q": "in", "invq": "inandq", "inandq": "invq"}
+    for f in (ex34, ex46, ex427):
+        mus = [f.fuzzy["mu"], *_samples(f.structure, seed=6, count=8)]
+        for mu in mus:
+            co = FuzzySubset(mu.structure, tuple(ONE - g for g in mu.grades))
+            ts = set(critical_thresholds(mu)) | set(critical_thresholds(co))
+            for x, t, b in product(range(mu.structure.n), ts, BETAS):
+                point = FuzzyPoint(x, t)
+                assert point_satisfies(point, mu, PointRelation.parse(f"not-{b}")) == (
+                    point_satisfies(point, co, PointRelation.parse(dual[b])))
+
+
+def test_failing_cell_runs_once_per_refutation(ex34, ex46, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _failing_cell(*args)
+
+    monkeypatch.setattr(predicates, "_failing_cell", counted)
+    for f in (ex34, ex46):
+        for mu in [f.fuzzy["mu"], *_samples(f.structure, seed=9, count=10)]:
+            for spec in ALL_PAIRS:
+                for decide in (is_alpha_beta_subsemigroup, is_alpha_beta_bi_ideal):
+                    calls.clear()
+                    v = decide(mu, AlphaBetaPair.parse(spec))
+                    assert len(calls) == (0 if v.holds else 1)
 
 
 def test_verdict_witness_shape():
