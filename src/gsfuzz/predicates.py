@@ -1,10 +1,13 @@
 """Decision procedures for the fuzzy subsemigroup/ideal predicates.
 
-Two kinds of decider live here.  The closed-form ones check a pointwise
-inequality (optionally capped at 1/2) by scanning all products.  The generic
-(alpha, beta) decider quantifies over all point values t, r in (0,1]; each
-product's verdict is one integer bound on its grade, and a finite cell sample
-chooses only the (t, r) of the witness, see the note above _candidates.
+Every decider is one scan over all products: on integer-scaled grades, the
+product w of x and z passes when key[w] >= bounds[x][z].  A decider only
+picks its key and bounds: the plain and (in, in-or-q) closed forms are the
+(in, in) and (in, invq) bounds, the one-sided ideals a bound on one factor,
+and the generic (alpha, beta) decider the bound of its pair, which
+quantifies over all point values t, r in (0,1].  On a failure a finite cell
+sample chooses only the (t, r) of an (alpha, beta) witness, see the note
+above _first_failure.
 
 All verdicts carry a witness when they are negative, chosen as the
 lexicographically first failure in element / gamma / candidate-value order so
@@ -23,6 +26,7 @@ from typing import Callable
 from .errors import EmptyFuzzySubset, InvalidAlpha, StructureMismatch, UnknownPredicateName
 from .fuzzy import (
     IN,
+    IN_OR_Q,
     ONE,
     FuzzySubset,
     PointRelation,
@@ -94,6 +98,7 @@ class PredicateVerdict:
 
 
 _TRUE = PredicateVerdict(True)
+_IN_IN, _IN_INVQ = AlphaBetaPair(IN, IN), AlphaBetaPair(IN, IN_OR_Q)
 
 
 def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
@@ -106,77 +111,76 @@ def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
     return scaled, base
 
 
-def _capped(mu: FuzzySubset) -> tuple[list[int], list[int], int]:
-    """Scaled grades, their min with 1/2 (the bound vector of the (in,
-    in-or-q) forms), and the base."""
-    g, base = _scaled_grades(mu)
-    half = base // 2
-    return g, [v if v < half else half for v in g], base
+# Every decider is one scan.  On mu's grades scaled to a common even base B
+# (H = B // 2 is 1/2), the product w of x and z passes when
+# key[w] >= bounds[x][z], where w = x gamma y (z = y) in the pair shape and
+# w = x a y b z in the sandwich; a bound of 0 makes the product vacuous.  A
+# decider only picks key and bounds.  The key is the scaled grade, and the
+# bound of a = mu(x), c = mu(z) is 0 unless a, c > 0, and then: min(a, c) for
+# (in,in), the plain forms; min(a, c, H) for (in,invq), the (in, in-or-q)
+# forms; max(a, c) for (q,q); min(max(a, c), H) for (q,invq) and (invq,invq);
+# B for the seven other pairs.  The one-sided ideals bound by min(c, H)
+# (left) or min(a, H) (right) alone.  Negated beta is the dual: x_t not-beta
+# mu iff x_t beta* 1-mu, beta* swapping in/q and invq/inandq, so
+# (alpha, not-beta) decides as (alpha, beta*) on key(w) = B - mu(w).
+#
+# Tests pin each (alpha, beta) bound to the cell sampler, which also picks
+# the (t, r) of the witness on the first failing product.  Its conditions
+# compare t, r with mu(x), mu(z), mu(w), their complements or 1, so the
+# implication is constant on the cells those breakpoints cut out of (0,1];
+# min(t, r) of two representatives represents the min cell.  The scan loops
+# stay inline because the witness hunts call the deciders on many tiny
+# subsets.
 
 
-# The closed forms are one inequality in two shapes, both scanned in the
-# pinned witness order over scaled integer grades g, skipping every product
-# whose bound is 0:
-#   pair:     g(x c y) >= min(left[x], right[y])
-#   sandwich: g(x a y b z) >= min(c[x], c[z])
-# A decider only chooses its bound vectors.  The loops stay inline because
-# the witness hunts call the deciders on many tiny subsets.
-
-
-def _pair_scan(s, g: list[int], left, right) -> PredicateVerdict:
-    n, k = range(s.n), range(s.k)
-    for x in n:
-        lx = left[x]
-        if not lx:
-            continue
-        row = s.cayley[x]
-        for y in n:
-            ry = right[y]
-            bound = lx if lx < ry else ry
-            if not bound:
-                continue
-            for gm in k:
-                if g[row[gm][y]] < bound:
-                    return PredicateVerdict(False, Witness(x, y, gm))
-    return _TRUE
-
-
-def _sandwich_scan(s, g: list[int], c: list[int]) -> PredicateVerdict:
+def _first_failure(s, key: list[int], bounds: list, bi: bool) -> tuple | None:
+    """The first failing (x, y, gamma), then with bi the first failing
+    (x, y, a, z, b), in the pinned order, with its right factor and product
+    w; None when every product passes."""
     cayley = s.cayley
     n, k = range(s.n), range(s.k)
     for x in n:
-        cx = c[x]
-        if not cx:
-            continue
-        bounds = [cx if cx < cz else cz for cz in c]
+        ux, row = bounds[x], cayley[x]
         for y in n:
-            for z in n:
-                bound = bounds[z]
-                if not bound:
-                    continue
-                for a in k:
-                    u = cayley[cayley[x][a][y]]
-                    for b in k:
-                        if g[u[b][z]] < bound:
-                            return PredicateVerdict(False, Witness(x, y, a, z, b))
-    return _TRUE
+            u = ux[y]
+            if not u:
+                continue
+            for gm in k:
+                if key[w := row[gm][y]] < u:
+                    return (x, y, gm), y, w
+    if bi:
+        for x in n:
+            ux = bounds[x]
+            for y in n:
+                for z in n:
+                    u = ux[z]
+                    if not u:
+                        continue
+                    for a in k:
+                        v = cayley[cayley[x][a][y]]
+                        for b in k:
+                            if key[w := v[b][z]] < u:
+                                return (x, y, a, z, b), z, w
+    return None
 
 
-def _bi_ideal_scan(s, g: list[int], c: list[int]) -> PredicateVerdict:
-    first = _pair_scan(s, g, c, c)
-    return _sandwich_scan(s, g, c) if first.holds else first
+def _closed_form(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
+    g, base = _scaled_grades(mu)
+    return _verdict(_first_failure(mu.structure, *_product_bounds(pair, g, base), bi))
+
+
+def _verdict(failure) -> PredicateVerdict:
+    return _TRUE if failure is None else PredicateVerdict(False, Witness(*failure[0]))
 
 
 def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
     """mu(x g y) >= min(mu(x), mu(y)) for all x, y, g."""
-    g, _ = _scaled_grades(mu)
-    return _pair_scan(mu.structure, g, g, g)
+    return _closed_form(mu, _IN_IN, False)
 
 
 def is_fuzzy_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
     """Fuzzy subsemigroup with mu(x a y b z) >= min(mu(x), mu(z))."""
-    g, _ = _scaled_grades(mu)
-    return _bi_ideal_scan(mu.structure, g, g)
+    return _closed_form(mu, _IN_IN, True)
 
 
 def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
@@ -185,24 +189,23 @@ def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
     Pairs outside the support are vacuous (the bound is 0 there), so this is
     the closed form of the (in, in-or-q) subsemigroup predicate.
     """
-    g, c, _ = _capped(mu)
-    return _pair_scan(mu.structure, g, c, c)
+    return _closed_form(mu, _IN_INVQ, False)
 
 
 def is_eq_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
     """is_eq_subsemigroup plus mu(x a y b z) >= min(mu(x), mu(z), 1/2)."""
-    g, c, _ = _capped(mu)
-    return _bi_ideal_scan(mu.structure, g, c)
+    return _closed_form(mu, _IN_INVQ, True)
 
 
 def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
     """Left: mu(x g y) >= min(mu(y), 1/2).  Right: >= min(mu(x), 1/2)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    g, c, base = _capped(mu)
-    ones = (base,) * len(c)
-    s = mu.structure
-    return _pair_scan(s, g, ones, c) if side == "left" else _pair_scan(s, g, c, ones)
+    g, base = _scaled_grades(mu)
+    half = base // 2
+    c = [v if v < half else half for v in g]
+    bounds = [c] * len(c) if side == "left" else [[v] * len(c) for v in c]
+    return _verdict(_first_failure(mu.structure, g, bounds, False))
 
 
 def is_eq_ideal(mu: FuzzySubset) -> PredicateVerdict:
@@ -223,25 +226,6 @@ def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
     return all(
         m >= min(v, ONE - m) for v, m in zip(nu.grades, mu.grades)
     )
-
-
-# ------------------------------------------------------------------
-# Generic (alpha, beta) decider.
-#
-# Whether a product w of x and z fails depends only on a = mu(x), c = mu(z)
-# and mu(w).  On grades scaled to a common even base B (H = B // 2 is 1/2),
-# w fails exactly when a, c > 0 and key(w) < U(a, c), with key the scaled
-# grade and U: min(a, c) for (in,in), min(a, c, H) for (in,invq), max(a, c)
-# for (q,q), min(max(a, c), H) for (q,invq) and (invq,invq), B for the seven
-# other pairs.  Negated beta is the dual: x_t not-beta mu iff x_t beta* 1-mu,
-# beta* swapping in/q and invq/inandq, so (alpha, not-beta) decides as
-# (alpha, beta*) on key(w) = B - mu(w).  Tests pin each bound to the sampler.
-#
-# The cell sampler picks the witness's (t, r) on the first failing product.
-# Its conditions compare t, r with mu(x), mu(z), mu(w), their complements or
-# 1, so the implication is constant on the cells those breakpoints cut out
-# of (0,1]; min(t, r) of two representatives represents the min cell.
-# ------------------------------------------------------------------
 
 
 def _candidates(base: int, gx: int, gz: int, gw: int) -> list[int]:
@@ -310,8 +294,9 @@ _BOUND_RULES = {
 
 
 def _product_bounds(pair: AlphaBetaPair, g: list[int], base: int) -> tuple[list, list]:
-    """key and U of the closed form above, for the scaled grades g: the
-    product w of x and z fails exactly when key[w] < U[x][z]."""
+    """key and bounds of the pair's closed form (see the note above
+    _first_failure), for the scaled grades g: the product w of x and z fails
+    exactly when key[w] < bounds[x][z]."""
     beta, key = pair.beta.kind, g
     if pair.beta.negated:
         beta, key = _DUAL[beta], [base - v for v in g]
@@ -326,49 +311,23 @@ def _product_bounds(pair: AlphaBetaPair, g: list[int], base: int) -> tuple[list,
     return key, [[a if a < b else b for b in c] for a in c]
 
 
-def _refuted_at(pair: AlphaBetaPair, base: int, gx: int, gz: int, gw: int, *where: int):
-    t, r = _failing_cell(pair, base, gx, gz, gw)
-    return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
-
-
 def _alpha_beta_scan(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
-    """First failing product over (x, y, gamma), then with bi over
-    (x, y, a, z, b), refuted at its first failing cell."""
-    s = mu.structure
-    cayley = s.cayley
+    """The first failing product, refuted at its first failing cell (t, r)."""
     g, base = _scaled_grades(mu)
     key, bounds = _product_bounds(pair, g, base)
-    n, k = range(s.n), range(s.k)
-    for x in n:
-        ux, row = bounds[x], cayley[x]
-        for y in n:
-            u = ux[y]
-            if not u:
-                continue
-            for gm in k:
-                if key[w := row[gm][y]] < u:
-                    return _refuted_at(pair, base, g[x], g[y], g[w], x, y, gm)
-    if bi:
-        for x in n:
-            ux = bounds[x]
-            for y in n:
-                for z in n:
-                    u = ux[z]
-                    if not u:
-                        continue
-                    for a in k:
-                        v = cayley[cayley[x][a][y]]
-                        for b in k:
-                            if key[w := v[b][z]] < u:
-                                return _refuted_at(pair, base, g[x], g[z], g[w], x, y, a, z, b)
-    return _TRUE
+    failure = _first_failure(mu.structure, key, bounds, bi)
+    if failure is None:
+        return _TRUE
+    where, z, w = failure
+    t, r = _failing_cell(pair, base, g[where[0]], g[z], g[w])
+    return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
 
 
 def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """x_t, y_r alpha mu implies (x g y)_min(t,r) beta mu, for all t, r.
 
     Decided exactly by one closed-form bound per product (see the note
-    above _candidates); the witness carries the first failing cell (t, r)
+    above _first_failure); the witness carries the first failing cell (t, r)
     of the first failing product.
     """
     return _alpha_beta_scan(mu, pair, bi=False)
@@ -381,9 +340,8 @@ def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVer
 
 def consistency_eq_definitions(mu: FuzzySubset) -> bool:
     """The plain inequalities and the (in, in) point forms decide alike."""
-    pair = AlphaBetaPair(IN, IN)
-    sub_ok = is_fuzzy_subsemigroup(mu).holds == is_alpha_beta_subsemigroup(mu, pair).holds
-    bi_ok = is_fuzzy_bi_ideal(mu).holds == is_alpha_beta_bi_ideal(mu, pair).holds
+    sub_ok = is_fuzzy_subsemigroup(mu).holds == is_alpha_beta_subsemigroup(mu, _IN_IN).holds
+    bi_ok = is_fuzzy_bi_ideal(mu).holds == is_alpha_beta_bi_ideal(mu, _IN_IN).holds
     return sub_ok and bi_ok
 
 

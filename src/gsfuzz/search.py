@@ -273,6 +273,8 @@ def generate_structures(
 
 def grid_subsets(structure: GammaSemigroup, grid: int) -> Iterator[FuzzySubset]:
     """All non-zero fuzzy subsets with grades in {0, 1/d, ..., 1}, lex order."""
+    if grid < 1:
+        raise ValueError("need grid >= 1")
     for vec in product([Fraction(v, grid) for v in range(grid + 1)], repeat=structure.n):
         if any(vec):
             yield FuzzySubset(structure, vec)
@@ -300,6 +302,8 @@ def sample_eq_bi_ideals(
     Rejection-filters seeded grid draws; may return fewer than `count` if
     the attempt cap (default 400 per requested sample) runs out.
     """
+    if grid < 1 or count < 0:
+        raise ValueError("need grid >= 1, count >= 0")
     cap = max_attempts or 400 * max(count, 1)
     rng = SplitMix64(seed)
     steps = [Fraction(v, grid) for v in range(grid + 1)]

@@ -292,6 +292,14 @@ def test_cli_theorems(tmp_path, capsys):
         assert f"{tid}: agree" in out
 
 
+def test_cli_theorems_bad_grid_or_samples_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
+    for flags in (["--grid", "0"], ["--grid", "-1"], ["--samples", "-3"]):
+        code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu", *flags])
+        assert code == 2, flags
+        assert out == "error: need grid >= 1, count >= 0\n", flags
+
+
 def test_cli_enumerate(tmp_path, capsys):
     path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
     code, out = _run(capsys, ["enumerate", path, "--kind", "bi_ideal"])

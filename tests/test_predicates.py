@@ -1,5 +1,7 @@
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 from math import lcm
 
@@ -40,10 +42,18 @@ from gsfuzz.predicates import PredicateVerdict, Witness, _failing_cell, _product
 from gsfuzz.search import GeneratorConfig, find_witness, generate_structures, random_fuzzy
 from gsfuzz.structure import classify_subset
 
+from corpus import exhaustive
+
 ALPHAS = ("in", "q", "invq")
 BETAS = ("in", "q", "invq", "inandq")
 # all 24 (alpha, beta) pairs, negated beta included
 ALL_PAIRS = [f"{a},{n}{b}" for a in ALPHAS for n in ("", "not-") for b in BETAS]
+
+# the six closed-form deciders
+CLOSED_FORMS = (
+    is_fuzzy_subsemigroup, is_fuzzy_bi_ideal, is_eq_subsemigroup, is_eq_bi_ideal,
+    partial(is_eq_one_sided_ideal, side="left"), partial(is_eq_one_sided_ideal, side="right"),
+)
 
 # the (alpha, beta) combinations Example 4.6 refutes, plus (in, in)
 REFUTED_PAIRS = [
@@ -257,6 +267,7 @@ def test_failing_cell_runs_once_per_refutation(ex34, ex46, monkeypatch):
         return _failing_cell(*args)
 
     monkeypatch.setattr(predicates, "_failing_cell", counted)
+    closed_outcomes = set()
     for f in (ex34, ex46):
         for mu in [f.fuzzy["mu"], *_samples(f.structure, seed=9, count=10)]:
             for spec in ALL_PAIRS:
@@ -264,6 +275,12 @@ def test_failing_cell_runs_once_per_refutation(ex34, ex46, monkeypatch):
                     calls.clear()
                     v = decide(mu, AlphaBetaPair.parse(spec))
                     assert len(calls) == (0 if v.holds else 1)
+            # the closed forms share the scan but never sample cells
+            for decide in CLOSED_FORMS:
+                calls.clear()
+                closed_outcomes.add(decide(mu).holds)
+                assert not calls
+    assert closed_outcomes == {True, False}
 
 
 def test_verdict_witness_shape():
@@ -318,6 +335,28 @@ def test_consistency_eq_definitions(ex34, ex46):
     assert consistency_eq_definitions(constant(ex34.structure, 1))
     for mu in _samples(ex34.structure, seed=23, count=40):
         assert consistency_eq_definitions(mu)
+
+
+def test_closed_forms_are_the_in_in_and_in_invq_scans():
+    # same verdict and witness (x, y, gamma, z, delta); only t, r are extra
+    forms = [
+        ("in,in", is_fuzzy_subsemigroup, is_alpha_beta_subsemigroup),
+        ("in,in", is_fuzzy_bi_ideal, is_alpha_beta_bi_ideal),
+        ("in,invq", is_eq_subsemigroup, is_alpha_beta_subsemigroup),
+        ("in,invq", is_eq_bi_ideal, is_alpha_beta_bi_ideal),
+    ]
+    structures = [s for n in (1, 2, 3) for k in (1, 2) for s in exhaustive(n, k)]
+    shapes = set()
+    for i, s in enumerate(structures):
+        for mu in _samples(s, seed=100 + i, count=3, grid=6):
+            for spec, closed, general in forms:
+                got, want = closed(mu), general(mu, AlphaBetaPair.parse(spec))
+                assert got.holds == want.holds, (s.cayley, mu.grades, spec)
+                if not want.holds:
+                    assert got.witness == replace(want.witness, t=None, r=None)
+                    shapes.add((spec, want.witness.z is None))
+    # both pairs refute in the pair and in the sandwich shape
+    assert shapes == {(spec, pair) for spec in ("in,in", "in,invq") for pair in (True, False)}
 
 
 def test_invq_invq_implies_eq_pair(ex34, ex46):

@@ -147,6 +147,22 @@ def test_grid_subsets_order_and_size(ex427):
     assert subs[-1].grades == (F(1), F(1), F(1))
 
 
+def test_grid_below_one_is_a_value_error(ex34):
+    s = ex34.structure
+    for grid in (0, -1):
+        with pytest.raises(ValueError, match="grid >= 1"):
+            list(grid_subsets(s, grid))
+        with pytest.raises(ValueError, match="grid >= 1"):
+            sample_eq_bi_ideals(s, 3, 1, grid=grid)
+        with pytest.raises(ValueError, match="grid >= 1"):
+            find_witness([s], "eq_subsemigroup", grid)
+        with pytest.raises(ValueError, match="grid >= 1"):
+            find_witness([s], "union_of_two_eq_subsemigroups", grid)
+    with pytest.raises(ValueError, match="count >= 0"):
+        sample_eq_bi_ideals(s, -3, 1)
+    assert sample_eq_bi_ideals(s, 0, 1) == []
+
+
 def test_enumerate_crisp_examples(ex34, ex427):
     bis427 = enumerate_crisp(ex427.structure, "bi_ideal")
     assert frozenset({0}) in bis427 and frozenset({1}) in bis427 and frozenset({2}) in bis427
