@@ -27,7 +27,6 @@ from .predicates import (
     PredicateVerdict,
     Witness,
     check_by_name,
-    consistency_eq_definitions,
     is_alpha_beta_bi_ideal,
     is_alpha_beta_subsemigroup,
     is_eq_bi_ideal,

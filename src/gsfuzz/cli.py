@@ -160,24 +160,15 @@ def parse(text: str) -> StructureDocument:
                 line_no,
             )
 
-        if head == "elements":
-            if doc.elements:
-                raise DuplicateName("elements already declared", line_no)
+        if head in ("elements", "gammas"):
+            if getattr(doc, head):
+                raise DuplicateName(f"{head} already declared", line_no)
             if len(tokens) < 2:
-                raise DocumentSyntaxError("elements line needs at least one name", line_no)
+                raise DocumentSyntaxError(f"{head} line needs at least one name", line_no)
             if len(set(tokens[1:])) != len(tokens) - 1:
-                raise DuplicateName("duplicate element name", line_no)
+                raise DuplicateName(f"duplicate {head[:-1]} name", line_no)
             _check_names(tokens[1:], line_no)
-            doc.elements = tokens[1:]
-        elif head == "gammas":
-            if doc.gammas:
-                raise DuplicateName("gammas already declared", line_no)
-            if len(tokens) < 2:
-                raise DocumentSyntaxError("gammas line needs at least one name", line_no)
-            if len(set(tokens[1:])) != len(tokens) - 1:
-                raise DuplicateName("duplicate gamma name", line_no)
-            _check_names(tokens[1:], line_no)
-            doc.gammas = tokens[1:]
+            setattr(doc, head, tokens[1:])
         elif head == "table":
             if len(tokens) != 2:
                 raise DocumentSyntaxError("usage: table GAMMA", line_no)
@@ -450,18 +441,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and validate a structure file")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("file")
 
     p = sub.add_parser("classify", help="crisp structure and subset flags")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("file")
 
     p = sub.add_parser("check", help="decide one predicate for one fuzzy subset")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("file")
     p.add_argument("--fuzzy", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--expect", choices=["true", "false"])
 
     p = sub.add_parser("theorems", help="run the theorem reports")
+    p.set_defaults(handler=_cmd_theorems)
     p.add_argument("file")
     p.add_argument("--fuzzy", required=True)
     p.add_argument("--samples", type=int, default=50)
@@ -469,6 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=10)
 
     p = sub.add_parser("enumerate", help="enumerate crisp subsets of a kind")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("file")
     p.add_argument(
         "--kind", required=True,
@@ -476,6 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("search", help="hunt for a separating witness")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("--want", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
@@ -485,6 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
 
     p = sub.add_parser("fixtures", help="list or export the built-in fixtures")
+    p.set_defaults(handler=_cmd_fixtures)
     p.add_argument("action", choices=["list", "show", "write"])
     p.add_argument("id", nargs="?")
     p.add_argument("path", nargs="?")
@@ -499,17 +497,8 @@ def run(argv: list) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "validate": _cmd_validate,
-        "classify": _cmd_classify,
-        "check": _cmd_check,
-        "theorems": _cmd_theorems,
-        "enumerate": _cmd_enumerate,
-        "search": _cmd_search,
-        "fixtures": _cmd_fixtures,
-    }
     try:
-        code, lines = handlers[args.command](args)
+        code, lines = args.handler(args)
     except (DocumentError, OSError, ValueError, InvalidAlpha, EmptyFuzzySubset) as exc:
         print(f"error: {exc}")
         return 2

@@ -46,7 +46,6 @@ __all__ = [
     "subset_or_q",
     "is_alpha_beta_subsemigroup",
     "is_alpha_beta_bi_ideal",
-    "consistency_eq_definitions",
     "check_by_name",
 ]
 
@@ -336,13 +335,6 @@ def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> Predicat
 def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """The subsemigroup predicate plus its triple form on x_t, z_r."""
     return _alpha_beta_scan(mu, pair, bi=True)
-
-
-def consistency_eq_definitions(mu: FuzzySubset) -> bool:
-    """The plain inequalities and the (in, in) point forms decide alike."""
-    sub_ok = is_fuzzy_subsemigroup(mu).holds == is_alpha_beta_subsemigroup(mu, _IN_IN).holds
-    bi_ok = is_fuzzy_bi_ideal(mu).holds == is_alpha_beta_bi_ideal(mu, _IN_IN).holds
-    return sub_ok and bi_ok
 
 
 _NAMED = {

@@ -254,13 +254,13 @@ def _nonempty_subsets(n: int) -> Iterator[CrispSubset]:
         yield frozenset(i for i in range(n) if mask >> i & 1)
 
 
-def classify_structure(s: GammaSemigroup, max_scan: int | None = None) -> StructureClassification:
+def classify_structure(s: GammaSemigroup) -> StructureClassification:
     """Regularity, intra-regularity and the duo flags.
 
     Duo is decided by scanning all 2^n - 1 non-empty subsets for one-sided
     ideals; raises CarrierTooLarge beyond the configured cap.
     """
-    cap = subset_scan_limit() if max_scan is None else max_scan
+    cap = subset_scan_limit()
     if s.n > cap:
         raise CarrierTooLarge(f"duo scan needs 2^{s.n} subsets, cap is n <= {cap}")
     left_duo = right_duo = True

@@ -42,8 +42,9 @@ from .predicates import (
 from .structure import (
     GammaSemigroup,
     Homomorphism,
-    classify_structure,
     is_bi_ideal,
+    is_intra_regular,
+    is_regular,
     is_subsemigroup,
 )
 
@@ -78,11 +79,11 @@ def _grades_detail(mu: FuzzySubset) -> str:
     return " ".join(str(g) for g in mu.grades)
 
 
-def _level_is(mu: FuzzySubset, check, upper=HALF) -> bool:
-    """check holds on every non-empty level set mu_r with r critical in (0, upper]."""
+def _level_is(mu: FuzzySubset, check) -> bool:
+    """check holds on every non-empty level set mu_r with r critical in (0, 1/2]."""
     s = mu.structure
     for r in critical_thresholds(mu):
-        if r > upper:
+        if r > HALF:
             continue
         level = frozenset(i for i, g in enumerate(mu.grades) if g >= r)
         if level and not check(s, level):
@@ -236,7 +237,7 @@ def report_regularity_characterization(
     equal = all(
         o05_product(o05_product(mu, one), mu) == cap05(mu, mu) for mu in samples
     )
-    flags = (classify_structure(s).regular, equal)
+    flags = (is_regular(s), equal)
     return _report("thm4.28", flags, f"n={s.n} k={s.k}")
 
 
@@ -269,6 +270,5 @@ def report_regular_intra_characterization(
         for mu, nu in pair_list
     )
 
-    crisp = classify_structure(s)
-    flags = (crisp.regular and crisp.intra_regular, squares_ok, pairs_ok)
+    flags = (is_regular(s) and is_intra_regular(s), squares_ok, pairs_ok)
     return _report("thm4.29", flags, f"n={s.n} k={s.k}")

@@ -329,3 +329,97 @@ def test_cli_fixtures_flow(tmp_path, capsys):
     assert code == 0 and "valid: true" in out
     code, out = _run(capsys, ["fixtures", "show", "zz"])
     assert code == 2
+
+
+# Full stdout of each command, FILE standing for the structure file's path.
+PINNED_OUTPUT = {
+    ("validate", "ex34"): """\
+file: FILE
+valid: true
+elements: 3
+gammas: 1
+""",
+    ("classify", "ex34"): """\
+file: FILE
+regular: true
+intra_regular: true
+left_duo: true
+right_duo: true
+duo: true
+subset A: subsemigroup=true left_ideal=true right_ideal=true bi_ideal=true
+""",
+    ("enumerate", "ex34", "--kind", "bi_ideal"): """\
+file: FILE
+kind: bi_ideal
+count: 4
+subset: e
+subset: e a
+subset: e b
+subset: e a b
+""",
+    ("theorems", "ex34", "--fuzzy", "mu", "--samples", "5"): """\
+file: FILE
+fuzzy: mu
+thm3.2: agree
+thm3.2 flags: true true true true true
+thm3.5: agree
+thm3.5 flags: true true true true true
+thm4.23: agree
+thm4.23 flags: true true
+thm4.24: agree
+thm4.24 flags: true true
+thm4.25: agree
+thm4.25 flags: true true
+thm4.26: agree
+thm4.26 flags: true true
+thm4.28: agree
+thm4.28 flags: true true
+thm4.29: agree
+thm4.29 flags: true true true
+""",
+    ("check", "ex34", "--fuzzy", "mu", "--pred", "fuzzy-subsemigroup"): """\
+file: FILE
+fuzzy: mu
+pred: fuzzy-subsemigroup
+holds: false
+witness: x=a y=b gamma=g
+""",
+    ("check", "ex46", "--fuzzy", "mu", "--pred", "ab-subsemigroup:in,in"): """\
+file: FILE
+fuzzy: mu
+pred: ab-subsemigroup:in,in
+holds: false
+witness: x=a y=b gamma=g t=3/5 r=3/5
+""",
+    ("fixtures", "list"): """\
+fixture: ex3.4
+fixture: ex4.6
+fixture: ex4.27
+fixture: ex2.1-mod-12
+""",
+    ("fixtures", "show", "ex4.6"): """\
+elements a b c d e
+gammas g
+table g
+a d a d d
+a b a d d
+a d c d e
+a d a d d
+a d c d e
+fuzzy mu a=4/5 b=7/10 c=3/10 d=1/2 e=3/5
+""",
+}
+
+
+def test_cli_output_is_pinned(tmp_path, capsys, ex46):
+    paths = {
+        "ex34": _write(tmp_path, "ex34.gsf", EX34_TEXT),
+        "ex46": _write(tmp_path, "ex46.gsf",
+                       print_document(document_for(ex46.structure, ex46.fuzzy))),
+    }
+    for argv, expected in PINNED_OUTPUT.items():
+        path = paths.get(argv[1])
+        if path is not None:
+            argv = (argv[0], path, *argv[2:])
+            expected = expected.replace("FILE", path)
+        assert _run(capsys, list(argv)) == (0, expected), argv

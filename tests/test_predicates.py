@@ -12,7 +12,6 @@ from gsfuzz import (
     FuzzySubset,
     characteristic,
     check_by_name,
-    consistency_eq_definitions,
     constant,
     is_alpha_beta_bi_ideal,
     is_alpha_beta_subsemigroup,
@@ -329,15 +328,7 @@ def test_witness_is_lexicographically_first(ex34):
     assert mu.grades[ex34.structure.op(2, 0, 1)] < min(mu.grades[2], mu.grades[1])
 
 
-def test_consistency_eq_definitions(ex34, ex46):
-    assert consistency_eq_definitions(ex34.fuzzy["mu"])
-    assert consistency_eq_definitions(ex46.fuzzy["mu"])
-    assert consistency_eq_definitions(constant(ex34.structure, 1))
-    for mu in _samples(ex34.structure, seed=23, count=40):
-        assert consistency_eq_definitions(mu)
-
-
-def test_closed_forms_are_the_in_in_and_in_invq_scans():
+def test_closed_forms_are_the_in_in_and_in_invq_scans(ex34, ex46):
     # same verdict and witness (x, y, gamma, z, delta); only t, r are extra
     forms = [
         ("in,in", is_fuzzy_subsemigroup, is_alpha_beta_subsemigroup),
@@ -346,15 +337,19 @@ def test_closed_forms_are_the_in_in_and_in_invq_scans():
         ("in,invq", is_eq_bi_ideal, is_alpha_beta_bi_ideal),
     ]
     structures = [s for n in (1, 2, 3) for k in (1, 2) for s in exhaustive(n, k)]
+    inputs = [
+        mu for i, s in enumerate(structures) for mu in _samples(s, seed=100 + i, count=3, grid=6)
+    ]
+    inputs += [ex34.fuzzy["mu"], ex46.fuzzy["mu"], constant(ex34.structure, 1)]
+    inputs += _samples(ex34.structure, seed=23, count=40)
     shapes = set()
-    for i, s in enumerate(structures):
-        for mu in _samples(s, seed=100 + i, count=3, grid=6):
-            for spec, closed, general in forms:
-                got, want = closed(mu), general(mu, AlphaBetaPair.parse(spec))
-                assert got.holds == want.holds, (s.cayley, mu.grades, spec)
-                if not want.holds:
-                    assert got.witness == replace(want.witness, t=None, r=None)
-                    shapes.add((spec, want.witness.z is None))
+    for mu in inputs:
+        for spec, closed, general in forms:
+            got, want = closed(mu), general(mu, AlphaBetaPair.parse(spec))
+            assert got.holds == want.holds, (mu.structure.cayley, mu.grades, spec)
+            if not want.holds:
+                assert got.witness == replace(want.witness, t=None, r=None)
+                shapes.add((spec, want.witness.z is None))
     # both pairs refute in the pair and in the sandwich shape
     assert shapes == {(spec, pair) for spec in ("in,in", "in,invq") for pair in (True, False)}
 

@@ -127,9 +127,10 @@ def test_classify_structure_degenerate():
     )
 
 
-def test_classify_structure_scan_cap(ex34):
+def test_classify_structure_scan_cap(ex34, monkeypatch):
+    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "2")
     with pytest.raises(CarrierTooLarge):
-        classify_structure(ex34.structure, max_scan=2)
+        classify_structure(ex34.structure)
 
 
 def test_homomorphism_identity_and_constant(ex34, ex427):
