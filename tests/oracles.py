@@ -16,6 +16,7 @@ from gsfuzz import FuzzySubset
 from gsfuzz.search import parse_want
 from gsfuzz.fuzzy import (
     HALF,
+    IN,
     IN_OR_Q,
     ONE,
     ZERO,
@@ -306,3 +307,127 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
             if tree.evaluate(lookup):
                 return True, s, (m1.grades, m2.grades, union.grades), n_struct, n_sub
     return False, None, (), n_struct, n_sub
+
+
+def thresholds_by_definition(mu: FuzzySubset) -> tuple:
+    """The breakpoints mu(x), 1 - mu(x), 1/2 and 1 in (0, 1], half the
+    smallest, and the midpoint of every consecutive pair, in Fractions."""
+    return _cells(*mu.grades, HALF)
+
+
+def _o05(lam: FuzzySubset, mu: FuzzySubset) -> FuzzySubset:
+    """lam o05 mu: the naive product with every grade capped at 1/2."""
+    prod = naive_o_product(lam, mu)
+    return FuzzySubset(prod.structure, tuple(min(g, HALF) for g in prod.grades))
+
+
+def _meet05(mu: FuzzySubset, nu: FuzzySubset) -> tuple:
+    return tuple(min(a, b, HALF) for a, b in zip(mu.grades, nu.grades))
+
+
+def _leq(lo: tuple, hi: tuple) -> bool:
+    return all(a <= b for a, b in zip(lo, hi))
+
+
+def subsemigroup_by_definition(s, a) -> bool:
+    return all(s.op(x, g, y) in a for x in a for g in range(s.k) for y in a)
+
+
+def _levels_hold(mu: FuzzySubset, check) -> bool:
+    """check holds on every non-empty U(mu; r), r critical in (0, 1/2]."""
+    levels = (
+        frozenset(x for x, g in enumerate(mu.grades) if g >= r)
+        for r in thresholds_by_definition(mu) if r <= HALF
+    )
+    return all(check(mu.structure, level) for level in levels if level)
+
+
+def _brackets_hold(mu: FuzzySubset, check) -> bool:
+    """check holds on every non-empty [mu]_t = U(mu; t) | Q(mu; t), t critical."""
+    brackets = (
+        frozenset(x for x, g in enumerate(mu.grades) if g >= t or g + t > ONE)
+        for t in thresholds_by_definition(mu)
+    )
+    return all(check(mu.structure, b) for b in brackets if b)
+
+
+def _one(s) -> FuzzySubset:
+    return FuzzySubset(s, (ONE,) * s.n)
+
+
+def _crisp_bi_ideals(s) -> list:
+    """Characteristic functions of every non-empty crisp bi-ideal."""
+    subsets = (
+        frozenset(i for i in range(s.n) if mask >> i & 1) for mask in range(1, 1 << s.n)
+    )
+    return [
+        FuzzySubset(s, tuple(ONE if i in a else ZERO for i in range(s.n)))
+        for a in subsets if bi_ideal_by_definition(s, a)
+    ]
+
+
+def _closed(name: str, mu: FuzzySubset) -> bool:
+    return first_closed_failure(name, mu) is None
+
+
+def report_flags_by_definition(theorem_id: str, *args) -> tuple:
+    """Every condition flag of the named theorem report, in literal Fraction
+    arithmetic: products by naive_o_product (capped at 1/2 afterwards for
+    o05), 1/2-caps by min, level sets and brackets at
+    thresholds_by_definition, containment in-or-q by a threshold sweep,
+    crisp and (alpha, beta) predicates by the scans above.
+
+    args are the report's: mu for thm3.2 to thm4.26; the structure and the
+    fuzzy bi-ideal samples for thm4.28; those and the explicit pairs (or
+    None) for thm4.29.
+    """
+    if theorem_id in ("thm4.28", "thm4.29"):
+        s, samples, *rest = args
+        samples = list(samples)
+        chars = _crisp_bi_ideals(s)
+        if theorem_id == "thm4.28":
+            return (
+                regular_by_definition(s),
+                all(_o05(_o05(mu, _one(s)), mu).grades == _meet05(mu, mu)
+                    for mu in samples + chars),
+            )
+        pairs = rest[0] if rest and rest[0] is not None else (
+            [(p, q) for p in chars for q in chars] + list(zip(samples, samples[1:]))
+        )
+        return (
+            regular_by_definition(s) and intra_regular_by_definition(s),
+            all(_o05(mu, mu).grades == _meet05(mu, mu) for mu in samples + chars),
+            all(_meet05(mu, nu) == _meet05(_o05(mu, nu), _o05(nu, mu)) for mu, nu in pairs),
+        )
+    (mu,) = args
+    s = mu.structure
+    if theorem_id == "thm3.2":
+        square = naive_o_product(mu, mu)
+        return (
+            sweep_alpha_beta(mu, IN, IN_OR_Q, False),
+            _closed("eq-subsemigroup", mu),
+            sweep_subset_or_q(square, mu),
+            _leq(_meet05(square, square), mu.grades),
+            _levels_hold(mu, subsemigroup_by_definition),
+        )
+    if theorem_id == "thm3.5":
+        hypothesis = _closed("eq-subsemigroup", mu)
+        triple = naive_o_product(naive_o_product(mu, _one(s)), mu)
+        return (
+            sweep_alpha_beta(mu, IN, IN_OR_Q, True),
+            _closed("eq-bi-ideal", mu),
+            hypothesis and sweep_subset_or_q(triple, mu),
+            hypothesis and _leq(_meet05(triple, triple), mu.grades),
+            _levels_hold(mu, bi_ideal_by_definition),
+        )
+    if theorem_id == "thm4.23":
+        return _closed("eq-subsemigroup", mu), _brackets_hold(mu, subsemigroup_by_definition)
+    if theorem_id == "thm4.24":
+        return _closed("eq-bi-ideal", mu), _brackets_hold(mu, bi_ideal_by_definition)
+    square_ok = _leq(_o05(mu, mu).grades, mu.grades)
+    if theorem_id == "thm4.25":
+        return _closed("eq-subsemigroup", mu), square_ok
+    if theorem_id == "thm4.26":
+        sandwich_ok = _leq(_o05(_o05(mu, _one(s)), mu).grades, mu.grades)
+        return _closed("eq-bi-ideal", mu), square_ok and sandwich_ok
+    raise ValueError(f"unknown theorem {theorem_id!r}")

@@ -27,6 +27,9 @@ from gsfuzz.errors import (
     UnknownElement,
 )
 from gsfuzz.fuzzy import HALF, IN, IN_AND_Q, IN_OR_Q, ONE, Q, PointRelation, ZERO
+from gsfuzz.search import GeneratorConfig, random_fuzzy
+
+from corpus import exhaustive
 from oracles import naive_o_product
 
 
@@ -107,13 +110,23 @@ def test_o_product_examples(ex34, ex427):
 
 
 def test_o_product_matches_naive_scan(builtin_fixtures):
+    pools = []
     for f in builtin_fixtures.values():
         if f.structure.n > 5 or not f.fuzzy:
             continue
-        mu = f.fuzzy["mu"]
-        chi = characteristic(f.structure, range(0, f.structure.n, 2))
-        for lam, rho in product((mu, chi), repeat=2):
-            assert o_product(lam, rho) == naive_o_product(lam, rho)
+        pools.append([f.fuzzy["mu"], characteristic(f.structure, range(0, f.structure.n, 2))])
+    # operands on the 1/3 and the 1/7 grid meet on a common base
+    structures = [f.structure for f in builtin_fixtures.values()]
+    structures += [s for n, k in product((1, 2), (1, 2)) for s in exhaustive(n, k)]
+    for i, s in enumerate(structures):
+        thirds = GeneratorConfig(n=s.n, k=s.k, seed=50 + i, grid=3, count=2)
+        sevenths = GeneratorConfig(n=s.n, k=s.k, seed=90 + i, grid=7, count=2)
+        pools.append(list(random_fuzzy(s, thirds)) + list(random_fuzzy(s, sevenths)))
+    for pool in pools:
+        for lam, rho in product(pool, repeat=2):
+            plain = naive_o_product(lam, rho)
+            assert o_product(lam, rho) == plain
+            assert o05_product(lam, rho).grades == tuple(min(g, HALF) for g in plain.grades)
 
 
 def test_o_product_associative_on_fixture_pool(ex34, ex46, ex427):

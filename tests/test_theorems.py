@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from gsfuzz import (
     cap05,
     characteristic,
     constant,
+    critical_thresholds,
     enumerate_crisp,
     image,
     is_eq_bi_ideal,
@@ -27,14 +29,40 @@ from gsfuzz import (
 )
 from gsfuzz.errors import EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
 from gsfuzz.fuzzy import HALF
-from gsfuzz.search import GeneratorConfig, random_fuzzy, sample_eq_bi_ideals
+from gsfuzz.search import GeneratorConfig, SplitMix64, random_fuzzy, sample_eq_bi_ideals
 from gsfuzz.structure import classify_structure, classify_subset, enumerate_homomorphisms
 from gsfuzz.theorems import TheoremReport
+
+from corpus import exhaustive
+from oracles import report_flags_by_definition, thresholds_by_definition
 
 
 def _samples(structure, seed, count=30, grid=10):
     cfg = GeneratorConfig(n=structure.n, k=structure.k, seed=seed, grid=grid, count=count)
     return list(random_fuzzy(structure, cfg))
+
+
+TENTHS = tuple(F(i, 10) for i in range(11))
+MIXED = tuple(F(v) for v in ("0", "1/3", "2/7", "5/12", "1/2", "3/4", "1"))
+
+MU_REPORTS = {
+    "thm3.2": report_subsemigroup_equivalences,
+    "thm3.5": report_bi_ideal_equivalences,
+    "thm4.23": lambda mu: report_level_characterization(mu, "subsemigroup"),
+    "thm4.24": lambda mu: report_level_characterization(mu, "bi_ideal"),
+    "thm4.25": lambda mu: report_product_characterization(mu, "subsemigroup"),
+    "thm4.26": lambda mu: report_product_characterization(mu, "bi_ideal"),
+}
+
+
+def _draws(structure, values, seed, count):
+    """count seeded non-zero fuzzy subsets with grades drawn from values."""
+    rng, drawn = SplitMix64(seed), []
+    while len(drawn) < count:
+        vec = tuple(values[rng.below(len(values))] for _ in range(structure.n))
+        if any(vec):
+            drawn.append(FuzzySubset(structure, vec))
+    return drawn
 
 
 def test_report_invariant_shape():
@@ -220,6 +248,12 @@ def test_regularity_characterization_non_regular():
     assert rep.agree and rep.condition_flags == (False, False)
 
 
+def test_regular_intra_pairs_on_other_structures_rejected(ex34, ex427):
+    pair = (ex427.fuzzy["mu"], ex34.fuzzy["mu"])
+    with pytest.raises(StructureMismatch):
+        report_regular_intra_characterization(ex427.structure, pairs=[pair])
+
+
 def test_regularity_rejects_non_bi_ideal_sample(ex34):
     bad = ex34.fuzzy["mu"]  # eq-subsemigroup but not an eq-bi-ideal? it is one;
     # use a genuinely failing sample instead
@@ -238,3 +272,39 @@ def test_regular_intra_characterization(ex427, ex34):
     null2 = validate_structure(["0", "1"], ["g"], [[[0, 0]], [[0, 0]]])
     rep = report_regular_intra_characterization(null2)
     assert rep.agree and rep.condition_flags == (False, False, False)
+
+
+def test_reports_match_fraction_definitions():
+    seen = set()
+    for n, k in product((1, 2, 3), (1, 2)):
+        for i, s in enumerate(exhaustive(n, k)):
+            seed = 1000 * n + 100 * k + i
+            tenths, mixed = _draws(s, TENTHS, seed, 1), _draws(s, MIXED, seed, 1)
+            for mu in tenths + mixed:
+                assert critical_thresholds(mu) == thresholds_by_definition(mu)
+                for theorem_id, report in MU_REPORTS.items():
+                    flags = report(mu).condition_flags
+                    assert flags == report_flags_by_definition(theorem_id, mu), (
+                        theorem_id, s.cayley, mu.grades)
+                    seen.add((theorem_id, flags))
+            # bi-ideal samples alternate the two grids, so consecutive
+            # samples (paired by thm4.29) have different denominators
+            bis = [[mu for mu in _draws(s, grid, seed + 1, 8) if is_eq_bi_ideal(mu).holds]
+                   for grid in (TENTHS, MIXED)]
+            samples = [mu for pair in zip(*bis) for mu in pair]
+            pairs = list(zip(tenths, mixed)) + list(zip(mixed, tenths))
+            runs = (
+                ("thm4.28", report_regularity_characterization(s, samples), (s, samples)),
+                ("thm4.29", report_regular_intra_characterization(s, samples),
+                 (s, samples, None)),
+                ("thm4.29", report_regular_intra_characterization(s, samples, pairs),
+                 (s, samples, pairs)),
+            )
+            for theorem_id, rep, args in runs:
+                assert rep.condition_flags == report_flags_by_definition(theorem_id, *args), (
+                    theorem_id, s.cayley, [mu.grades for mu in args[1]])
+                seen.add((theorem_id, rep.condition_flags))
+    # every report was seen both holding and failing
+    for theorem_id in [*MU_REPORTS, "thm4.28", "thm4.29"]:
+        assert {all(f) for t, f in seen if t == theorem_id} == {True, False}, theorem_id
+    assert ("thm4.29", (True, True, False)) in seen  # an explicit pair failing (3)
