@@ -321,11 +321,8 @@ def _cmd_classify(args) -> tuple[int, list]:
     s = doc.to_structure()
     flags = classify_structure(s)
     out = [f"file: {args.file}"]
-    out.append(f"regular: {_b(flags.regular)}")
-    out.append(f"intra_regular: {_b(flags.intra_regular)}")
-    out.append(f"left_duo: {_b(flags.left_duo)}")
-    out.append(f"right_duo: {_b(flags.right_duo)}")
-    out.append(f"duo: {_b(flags.duo)}")
+    for name in ("regular", "intra_regular", "left_duo", "right_duo", "duo"):
+        out.append(f"{name}: {_b(getattr(flags, name))}")
     for name, members in doc.subsets.items():
         sub = classify_subset(s, s.subset_of_names(members))
         out.append(
@@ -420,14 +417,12 @@ def _cmd_fixtures(args) -> tuple[int, list]:
     pool = {f.id: f for f in fixtures()}
     if args.action == "list":
         return 0, [f"fixture: {fid}" for fid in pool]
-    if args.id is None or args.id not in pool:
+    if args.id not in pool:
         raise DocumentError(f"unknown fixture {args.id!r}")
     fixture = pool[args.id]
     text = print_document(document_for(fixture.structure, fixture.fuzzy))
     if args.action == "show":
         return 0, [text.rstrip("\n")]
-    if args.path is None:
-        raise DocumentError("fixtures write needs a target path")
     with open(args.path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return 0, [f"wrote: {args.path}"]
@@ -482,10 +477,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
 
     p = sub.add_parser("fixtures", help="list or export the built-in fixtures")
-    p.set_defaults(handler=_cmd_fixtures)
-    p.add_argument("action", choices=["list", "show", "write"])
-    p.add_argument("id", nargs="?")
-    p.add_argument("path", nargs="?")
+    actions = p.add_subparsers(dest="action", required=True)
+    for action, operands in (("list", ()), ("show", ("id",)), ("write", ("id", "path"))):
+        q = actions.add_parser(action)
+        q.set_defaults(handler=_cmd_fixtures)
+        for operand in operands:
+            q.add_argument(operand)
 
     return parser
 

@@ -1,9 +1,10 @@
 """Exact-rational fuzzy subsets over a finite Gamma-semigroup.
 
-Membership grades are fractions.Fraction values in [0,1].  Exactness matters:
-the point relations mix a non-strict comparison (membership, mu(x) >= t) with
-a strict one (quasi-coincidence, mu(x) + t > 1), and floating point would
-corrupt verdicts right at the 0.5 boundaries the theory revolves around.
+Membership grades are fractions.Fraction values in [0,1]; deciders, products
+and theorem reports compare them as integers on one common even base
+(_scaled), where 1/2 and every threshold midpoint are exact.  Floats would
+corrupt verdicts at the 0.5 boundaries the theory revolves around, where the
+point relations mix mu(x) >= t with the strict mu(x) + t > 1.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -21,8 +23,6 @@ from .errors import (
     UnknownElement,
 )
 from .structure import CrispSubset, GammaSemigroup
-
-Grade = Fraction
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -177,29 +177,50 @@ def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
     return LevelSets(u, q, u | q)
 
 
-def _sup_min(lam: FuzzySubset, mu: FuzzySubset, cap: Fraction) -> FuzzySubset:
-    """a -> max over factorizations a = y g z of min(lam(y), mu(z), cap).
+def _scaled(mu: FuzzySubset) -> tuple[list[int], int]:
+    """mu's grades times B = 2 * lcm(2, denominators), and B: every scaled
+    grade is even and B % 4 == 0, so 1/2 is B // 2 and midpoints are exact."""
+    base = 2 * lcm(2, *[g.denominator for g in mu.grades])
+    return [g.numerator * (base // g.denominator) for g in mu.grades], base
 
-    The sup is over a finite carrier, hence a max; elements with no
-    factorization get 0.
-    """
-    s = _same_structure(lam, mu)
-    left = [min(g, cap) for g in lam.grades]
-    right = [min(g, cap) for g in mu.grades]
-    return FuzzySubset(s, tuple(
-        max((min(left[y], right[z]) for y, z in pairs), default=ZERO)
-        for pairs in s.factor_pairs
-    ))
+
+def _scaled_pair(lam: FuzzySubset, mu: FuzzySubset) -> tuple[list[int], list[int], int]:
+    """The grades of both operands on their common base, and that base."""
+    _same_structure(lam, mu)
+    (a, p), (b, q) = _scaled(lam), _scaled(mu)
+    base = lcm(p, q)
+    return [v * (base // p) for v in a], [v * (base // q) for v in b], base
+
+
+def _sup_min_scaled(s: GammaSemigroup, left: list[int], right: list[int], cap: int) -> list[int]:
+    """a -> max over factorizations a = y g z of min(left[y], right[z], cap);
+    the sup is over a finite carrier, hence a max, and 0 with no factorization."""
+    out = [0] * s.n
+    for y, planes in enumerate(s.cayley):
+        top = left[y] if left[y] < cap else cap
+        cut = [v if v < top else top for v in right]
+        for row in planes:
+            for z, w in enumerate(row):
+                if cut[z] > out[w]:
+                    out[w] = cut[z]
+    return out
+
+
+def _sup_min(lam: FuzzySubset, mu: FuzzySubset, half: bool) -> FuzzySubset:
+    """The sup-min product of lam and mu, capped at 1/2 when half."""
+    a, b, base = _scaled_pair(lam, mu)
+    out = _sup_min_scaled(lam.structure, a, b, base // 2 if half else base)
+    return FuzzySubset(lam.structure, tuple(Fraction(v, base) for v in out))
 
 
 def o_product(lam: FuzzySubset, mu: FuzzySubset) -> FuzzySubset:
     """(lam o mu)(a) = max over factorizations a = y g z of min(lam(y), mu(z))."""
-    return _sup_min(lam, mu, ONE)
+    return _sup_min(lam, mu, False)
 
 
 def o05_product(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
     """0.5-product: every factorization min additionally capped at 1/2."""
-    return _sup_min(mu1, mu2, HALF)
+    return _sup_min(mu1, mu2, True)
 
 
 def cap05(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
@@ -241,9 +262,11 @@ def constant(
     )
 
 
-def pointwise_leq(lo: FuzzySubset, hi: FuzzySubset) -> bool:
-    _same_structure(lo, hi)
-    return all(a <= b for a, b in zip(lo.grades, hi.grades))
+def _thresholds(base: int, *grades: int) -> list[int]:
+    """Ascending: each breakpoint grade, complement or base in (0, base],
+    preceded by the midpoint of the cell below it (exact: all are even)."""
+    breaks = sorted({*grades, *(base - v for v in grades), base} - {0})
+    return sorted({*breaks, breaks[0] // 2, *((a + b) // 2 for a, b in zip(breaks, breaks[1:]))})
 
 
 def critical_thresholds(mu: FuzzySubset) -> tuple[Fraction, ...]:
@@ -255,9 +278,5 @@ def critical_thresholds(mu: FuzzySubset) -> tuple[Fraction, ...]:
     the breakpoints themselves plus a representative of every open cell (the
     midpoint of each consecutive pair and of the gap below the smallest).
     """
-    points = {g for g in mu.grades} | {ONE - g for g in mu.grades} | {HALF, ONE}
-    breaks = sorted(v for v in points if ZERO < v <= ONE)
-    cells = set(breaks)
-    cells.add(breaks[0] / 2)
-    cells.update((a + b) / 2 for a, b in zip(breaks, breaks[1:]))
-    return tuple(sorted(cells))
+    g, base = _scaled(mu)
+    return tuple(Fraction(t, base) for t in _thresholds(base, *g, base // 2))

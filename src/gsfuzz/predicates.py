@@ -20,17 +20,18 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Callable
 
-from .errors import EmptyFuzzySubset, InvalidAlpha, StructureMismatch, UnknownPredicateName
+from .errors import EmptyFuzzySubset, InvalidAlpha, UnknownPredicateName
 from .fuzzy import (
     IN,
     IN_OR_Q,
-    ONE,
     FuzzySubset,
     PointRelation,
     RelKind,
+    _scaled,
+    _scaled_pair,
+    _thresholds,
 )
 
 __all__ = [
@@ -101,10 +102,8 @@ _IN_IN, _IN_INVQ = AlphaBetaPair(IN, IN), AlphaBetaPair(IN, IN_OR_Q)
 
 
 def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
-    """mu's grades times a common even base (which keeps every comparison,
-    with 1/2 at base // 2), and that base; the zero fuzzy subset is refused."""
-    base = 2 * lcm(2, *[g.denominator for g in mu.grades])
-    scaled = [g.numerator * (base // g.denominator) for g in mu.grades]
+    """fuzzy._scaled, refusing the zero fuzzy subset."""
+    scaled, base = _scaled(mu)
     if not any(scaled):
         raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
     return scaled, base
@@ -220,21 +219,12 @@ def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
     mu(x) + r <= 1, i.e. iff the interval (mu(x), min(nu(x), 1 - mu(x))]
     is non-empty.
     """
-    if nu.structure != mu.structure:
-        raise StructureMismatch("operands live over different structures")
-    return all(
-        m >= min(v, ONE - m) for v, m in zip(nu.grades, mu.grades)
-    )
+    return _within_or_q(*_scaled_pair(nu, mu))
 
 
-def _candidates(base: int, gx: int, gz: int, gw: int) -> list[int]:
-    """Ascending: each breakpoint in (0, base], preceded by a value inside
-    the cell below it (scaled grades are even, so midpoints are interior)."""
-    cands, low = [], 0
-    for b in sorted({gx, gz, gw, base - gx, base - gz, base - gw, base} - {0}):
-        cands += (low + b) // 2, b
-        low = b
-    return cands
+def _within_or_q(nu: list[int], mu: list[int], base: int) -> bool:
+    """subset_or_q on grades scaled to one base."""
+    return all(m >= v or m + m >= base for v, m in zip(nu, mu))
 
 
 def _premise_filter(alpha: PointRelation, g: int, base: int, cands: list[int]) -> list[int]:
@@ -269,7 +259,7 @@ def _failing_cell(
     """
     if not gx or not gz:  # no point x_t (t > 0) of grade 0 satisfies alpha
         return None
-    cands = _candidates(base, gx, gz, gw)
+    cands = _thresholds(base, gx, gz, gw)
     # min(t, r) is itself a candidate, so beta is tested once per candidate.
     bad = _beta_failures(pair.beta, gw, base, cands)
     if not bad:

@@ -78,16 +78,6 @@ class GammaSemigroup:
     def gamma_index(self) -> dict:
         return {name: i for i, name in enumerate(self.gammas)}
 
-    @cached_property
-    def factor_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each element a, the (y, z) pairs with y g z = a for some g."""
-        pairs: list[set] = [set() for _ in range(self.n)]
-        for y in range(self.n):
-            for row in self.cayley[y]:
-                for z in range(self.n):
-                    pairs[row[z]].add((y, z))
-        return tuple(tuple(sorted(s)) for s in pairs)
-
     def subset_of_names(self, names: Iterable[str]) -> CrispSubset:
         return frozenset(self.element_index[name] for name in names)
 
@@ -289,9 +279,6 @@ class Homomorphism:
     source: GammaSemigroup
     target: GammaSemigroup
     mapping: tuple[int, ...]
-
-    def apply(self, x: int) -> int:
-        return self.mapping[x]
 
     @property
     def surjective(self) -> bool:

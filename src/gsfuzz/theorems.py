@@ -18,26 +18,22 @@ from typing import Iterable, Sequence
 
 from .errors import SampleNotBiIdeal, StructureMismatch
 from .fuzzy import (
-    HALF,
     IN,
     IN_OR_Q,
     ZERO,
     FuzzySubset,
-    cap05,
-    characteristic,
-    critical_thresholds,
-    level_sets,
-    o05_product,
-    o_product,
-    pointwise_leq,
+    _scaled,
+    _scaled_pair,
+    _sup_min_scaled,
+    _thresholds,
 )
 from .predicates import (
     AlphaBetaPair,
+    _within_or_q,
     is_alpha_beta_bi_ideal,
     is_alpha_beta_subsemigroup,
     is_eq_bi_ideal,
     is_eq_subsemigroup,
-    subset_or_q,
 )
 from .structure import (
     GammaSemigroup,
@@ -79,16 +75,20 @@ def _grades_detail(mu: FuzzySubset) -> str:
     return " ".join(str(g) for g in mu.grades)
 
 
-def _level_is(mu: FuzzySubset, check) -> bool:
-    """check holds on every non-empty level set mu_r with r critical in (0, 1/2]."""
-    s = mu.structure
-    for r in critical_thresholds(mu):
-        if r > HALF:
-            continue
-        level = frozenset(i for i, g in enumerate(mu.grades) if g >= r)
-        if level and not check(s, level):
-            return False
-    return True
+def _cuts_are(mu: FuzzySubset, check, bracket: bool) -> bool:
+    """check holds on every distinct non-empty level set U(mu; r) at critical
+    r <= 1/2, or with bracket on every [mu]_t = U(mu; t) | Q(mu; t) at critical t."""
+    g, base = _scaled(mu)
+    cuts = {
+        frozenset(i for i, v in enumerate(g) if v >= t or bracket and v + t > base)
+        for t in _thresholds(base, *g, base // 2) if bracket or t <= base // 2
+    }
+    return all(check(mu.structure, cut) for cut in cuts if cut)
+
+
+def _meet(a: list[int], b: list[int], cap: int) -> list[int]:
+    """Pointwise min(a, b, cap); with cap = base // 2 this is cap05."""
+    return [min(x, y, cap) for x, y in zip(a, b)]
 
 
 def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
@@ -100,17 +100,19 @@ def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
     (4) mu o mu capped at 1/2 <= mu pointwise;
     (5) every non-empty level set at critical r <= 1/2 is a subsemigroup.
     """
-    square = o_product(mu, mu)
+    s = mu.structure
+    g, base = _scaled(mu)
+    square = _sup_min_scaled(s, g, g, base)
     flags = (
         is_alpha_beta_subsemigroup(mu, EQ).holds,
         is_eq_subsemigroup(mu).holds,
-        subset_or_q(square, mu),
+        _within_or_q(square, g, base),
         # The cap is the constant 1/2, not 1/2 on the support of mu: a product
         # can land outside the support, where a support cap zeroes the
         # condition out (take the characteristic function of the identity in
         # the 2-element group), and the five-way equivalence would fail.
-        pointwise_leq(cap05(square, square), mu),
-        _level_is(mu, is_subsemigroup),
+        all(min(v, base // 2) <= m for v, m in zip(square, g)),
+        _cuts_are(mu, is_subsemigroup, bracket=False),
     )
     return _report("thm3.2", flags, _grades_detail(mu))
 
@@ -124,14 +126,15 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
     """
     s = mu.structure
     hypothesis = is_eq_subsemigroup(mu).holds
-    triple = o_product(o_product(mu, characteristic(s, range(s.n))), mu)
+    g, base = _scaled(mu)
+    triple = _sup_min_scaled(s, _sup_min_scaled(s, g, [base] * s.n, base), g, base)
     flags = (
         is_alpha_beta_bi_ideal(mu, EQ).holds,
         is_eq_bi_ideal(mu).holds,
-        hypothesis and subset_or_q(triple, mu),
+        hypothesis and _within_or_q(triple, g, base),
         # constant 1/2 cap, as in thm3.2
-        hypothesis and pointwise_leq(cap05(triple, triple), mu),
-        _level_is(mu, is_bi_ideal),
+        hypothesis and all(min(v, base // 2) <= m for v, m in zip(triple, g)),
+        _cuts_are(mu, is_bi_ideal, bracket=False),
     )
     return _report("thm3.5", flags, _grades_detail(mu))
 
@@ -148,14 +151,7 @@ def report_level_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -
         theorem_id, pred, crisp = "thm4.24", is_eq_bi_ideal, is_bi_ideal
     else:
         raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
-    s = mu.structure
-    brackets_ok = True
-    for t in critical_thresholds(mu):
-        bracket = level_sets(mu, t).bracket
-        if bracket and not crisp(s, bracket):
-            brackets_ok = False
-            break
-    flags = (pred(mu).holds, brackets_ok)
+    flags = (pred(mu).holds, _cuts_are(mu, crisp, bracket=True))
     return _report(theorem_id, flags, _grades_detail(mu))
 
 
@@ -165,13 +161,14 @@ def report_product_characterization(mu: FuzzySubset, kind: str = "subsemigroup")
     thm4.26: eq-bi-ideal iff mu o05 mu <= mu and mu o05 1 o05 mu <= mu.
     """
     s = mu.structure
-    one = characteristic(s, range(s.n))
-    square_ok = pointwise_leq(o05_product(mu, mu), mu)
+    g, base = _scaled(mu)
+    square_ok = all(v <= m for v, m in zip(_sup_min_scaled(s, g, g, base // 2), g))
     if kind == "subsemigroup":
         flags = (is_eq_subsemigroup(mu).holds, square_ok)
         return _report("thm4.25", flags, _grades_detail(mu))
     if kind == "bi_ideal":
-        sandwich_ok = pointwise_leq(o05_product(o05_product(mu, one), mu), mu)
+        left = _sup_min_scaled(s, g, [base] * s.n, base // 2)
+        sandwich_ok = all(v <= m for v, m in zip(_sup_min_scaled(s, left, g, base // 2), g))
         flags = (is_eq_bi_ideal(mu).holds, square_ok and sandwich_ok)
         return _report("thm4.26", flags, _grades_detail(mu))
     raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
@@ -208,15 +205,18 @@ def is_f_invariant(mu: FuzzySubset, f: Homomorphism) -> bool:
     return True
 
 
-def _characteristic_bi_ideals(s: GammaSemigroup) -> list[FuzzySubset]:
+def _characteristic_bi_ideals(s: GammaSemigroup) -> list[tuple[list[int], int]]:
+    """The characteristic functions of all crisp bi-ideals, scaled to base 4."""
     from .search import enumerate_crisp
 
-    return [characteristic(s, b) for b in enumerate_crisp(s, "bi_ideal")]
+    return [([4 if i in b else 0 for i in range(s.n)], 4) for b in enumerate_crisp(s, "bi_ideal")]
 
 
-def _vet_samples(samples: Iterable[FuzzySubset]) -> list[FuzzySubset]:
+def _vet_samples(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[FuzzySubset]:
     vetted = []
     for mu in samples:
+        if mu.structure != s:
+            raise StructureMismatch("sample does not live over the structure")
         if not is_eq_bi_ideal(mu).holds:
             raise SampleNotBiIdeal(f"sample with grades {_grades_detail(mu)}")
         vetted.append(mu)
@@ -232,10 +232,11 @@ def report_regularity_characterization(
     characteristic functions of all crisp bi-ideals; the latter make the
     converse direction exact.
     """
-    samples = _vet_samples(fuzzy_samples) + _characteristic_bi_ideals(s)
-    one = characteristic(s, range(s.n))
+    samples = [_scaled(mu) for mu in _vet_samples(s, fuzzy_samples)]
     equal = all(
-        o05_product(o05_product(mu, one), mu) == cap05(mu, mu) for mu in samples
+        _sup_min_scaled(s, _sup_min_scaled(s, g, [base] * s.n, base // 2), g, base // 2)
+        == _meet(g, g, base // 2)
+        for g, base in samples + _characteristic_bi_ideals(s)
     )
     flags = (is_regular(s), equal)
     return _report("thm4.28", flags, f"n={s.n} k={s.k}")
@@ -254,20 +255,24 @@ def report_regular_intra_characterization(
     carries the converse; supplied samples are paired consecutively unless
     explicit pairs are given.
     """
-    samples = _vet_samples(fuzzy_samples)
+    samples = _vet_samples(s, fuzzy_samples)
     chars = _characteristic_bi_ideals(s)
 
-    everything = samples + chars
-    squares_ok = all(o05_product(mu, mu) == cap05(mu, mu) for mu in everything)
+    squares_ok = all(
+        _sup_min_scaled(s, g, g, base // 2) == _meet(g, g, base // 2)
+        for g, base in [_scaled(mu) for mu in samples] + chars
+    )
 
-    if pairs is None:
-        pair_list = [(p, q) for p in chars for q in chars]
-        pair_list += list(zip(samples, samples[1:]))
-    else:
-        pair_list = list(pairs)
+    pair_list = [(p, q, 4) for p, _ in chars for q, _ in chars] if pairs is None else []
+    for mu, nu in zip(samples, samples[1:]) if pairs is None else pairs:
+        if mu.structure != s:
+            raise StructureMismatch("pair does not live over the structure")
+        pair_list.append(_scaled_pair(mu, nu))
     pairs_ok = all(
-        cap05(mu, nu) == cap05(o05_product(mu, nu), o05_product(nu, mu))
-        for mu, nu in pair_list
+        _meet(a, b, base // 2) == _meet(
+            _sup_min_scaled(s, a, b, base // 2), _sup_min_scaled(s, b, a, base // 2), base // 2
+        )
+        for a, b, base in pair_list
     )
 
     flags = (is_regular(s) and is_intra_regular(s), squares_ok, pairs_ok)

@@ -331,6 +331,21 @@ def test_cli_fixtures_flow(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_fixtures_operands_are_usage_errors(tmp_path, capsys):
+    for argv, missing in ((["show"], "id"), (["write"], "id, path"), (["write", "ex4.6"], "path")):
+        assert run(["fixtures", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"the following arguments are required: {missing}" in captured.err, argv
+    target = str(tmp_path / "extra.gsf")
+    for argv, extra in ((["list", "ex4.6"], "ex4.6"), (["show", "ex4.6", target], target)):
+        assert run(["fixtures", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"unrecognized arguments: {extra}" in captured.err, argv
+    assert not (tmp_path / "extra.gsf").exists()
+
+
 # Full stdout of each command, FILE standing for the structure file's path.
 PINNED_OUTPUT = {
     ("validate", "ex34"): """\
