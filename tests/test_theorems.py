@@ -248,10 +248,14 @@ def test_regularity_characterization_non_regular():
     assert rep.agree and rep.condition_flags == (False, False)
 
 
-def test_regular_intra_pairs_on_other_structures_rejected(ex34, ex427):
-    pair = (ex427.fuzzy["mu"], ex34.fuzzy["mu"])
-    with pytest.raises(StructureMismatch):
-        report_regular_intra_characterization(ex427.structure, pairs=[pair])
+def test_samples_and_pairs_on_other_structures_rejected(ex34, ex427):
+    s, mu, other = ex427.structure, ex427.fuzzy["mu"], ex34.fuzzy["mu"]
+    for pair in ((mu, other), (other, other)):
+        with pytest.raises(StructureMismatch):
+            report_regular_intra_characterization(s, pairs=[pair])
+    for report in (report_regularity_characterization, report_regular_intra_characterization):
+        with pytest.raises(StructureMismatch):
+            report(s, [other])
 
 
 def test_regularity_rejects_non_bi_ideal_sample(ex34):
