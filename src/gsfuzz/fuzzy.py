@@ -262,11 +262,14 @@ def constant(
     )
 
 
-def _thresholds(base: int, *grades: int) -> list[int]:
-    """Ascending: each breakpoint grade, complement or base in (0, base],
-    preceded by the midpoint of the cell below it (exact: all are even)."""
-    breaks = sorted({*grades, *(base - v for v in grades), base} - {0})
-    return sorted({*breaks, breaks[0] // 2, *((a + b) // 2 for a, b in zip(breaks, breaks[1:]))})
+def _thresholds(breaks: set[int]) -> list[int]:
+    """Ascending: each scaled breakpoint but 0, preceded by the midpoint of
+    the cell below it (an exact int, as scaled breakpoints are even)."""
+    cells, low = [], 0
+    for b in sorted(breaks - {0}):
+        cells += (low + b) // 2, b
+        low = b
+    return cells
 
 
 def critical_thresholds(mu: FuzzySubset) -> tuple[Fraction, ...]:
@@ -279,4 +282,5 @@ def critical_thresholds(mu: FuzzySubset) -> tuple[Fraction, ...]:
     midpoint of each consecutive pair and of the gap below the smallest).
     """
     g, base = _scaled(mu)
-    return tuple(Fraction(t, base) for t in _thresholds(base, *g, base // 2))
+    breaks = {*g, *(base - v for v in g), base // 2, base}
+    return tuple(Fraction(t, base) for t in _thresholds(breaks))

@@ -259,7 +259,7 @@ def _failing_cell(
     """
     if not gx or not gz:  # no point x_t (t > 0) of grade 0 satisfies alpha
         return None
-    cands = _thresholds(base, gx, gz, gw)
+    cands = _thresholds({gx, gz, gw, base - gx, base - gz, base - gw, base})
     # min(t, r) is itself a candidate, so beta is tested once per candidate.
     bad = _beta_failures(pair.beta, gw, base, cands)
     if not bad:

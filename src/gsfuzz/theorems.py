@@ -35,6 +35,7 @@ from .predicates import (
     is_eq_bi_ideal,
     is_eq_subsemigroup,
 )
+from .search import enumerate_crisp
 from .structure import (
     GammaSemigroup,
     Homomorphism,
@@ -81,7 +82,8 @@ def _cuts_are(mu: FuzzySubset, check, bracket: bool) -> bool:
     g, base = _scaled(mu)
     cuts = {
         frozenset(i for i, v in enumerate(g) if v >= t or bracket and v + t > base)
-        for t in _thresholds(base, *g, base // 2) if bracket or t <= base // 2
+        for t in _thresholds({*g, *(base - v for v in g), base // 2, base})
+        if bracket or t <= base // 2
     }
     return all(check(mu.structure, cut) for cut in cuts if cut)
 
@@ -207,20 +209,17 @@ def is_f_invariant(mu: FuzzySubset, f: Homomorphism) -> bool:
 
 def _characteristic_bi_ideals(s: GammaSemigroup) -> list[tuple[list[int], int]]:
     """The characteristic functions of all crisp bi-ideals, scaled to base 4."""
-    from .search import enumerate_crisp
-
     return [([4 if i in b else 0 for i in range(s.n)], 4) for b in enumerate_crisp(s, "bi_ideal")]
 
 
 def _vet_samples(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[FuzzySubset]:
-    vetted = []
+    samples = list(samples)
     for mu in samples:
         if mu.structure != s:
             raise StructureMismatch("sample does not live over the structure")
         if not is_eq_bi_ideal(mu).holds:
             raise SampleNotBiIdeal(f"sample with grades {_grades_detail(mu)}")
-        vetted.append(mu)
-    return vetted
+    return samples
 
 
 def report_regularity_characterization(
@@ -263,16 +262,15 @@ def report_regular_intra_characterization(
         for g, base in [_scaled(mu) for mu in samples] + chars
     )
 
-    pair_list = [(p, q, 4) for p, _ in chars for q, _ in chars] if pairs is None else []
+    pair_list = [(p, q, 2) for p, _ in chars for q, _ in chars] if pairs is None else []
     for mu, nu in zip(samples, samples[1:]) if pairs is None else pairs:
         if mu.structure != s:
             raise StructureMismatch("pair does not live over the structure")
-        pair_list.append(_scaled_pair(mu, nu))
+        a, b, base = _scaled_pair(mu, nu)
+        pair_list.append((a, b, base // 2))
     pairs_ok = all(
-        _meet(a, b, base // 2) == _meet(
-            _sup_min_scaled(s, a, b, base // 2), _sup_min_scaled(s, b, a, base // 2), base // 2
-        )
-        for a, b, base in pair_list
+        _meet(a, b, h) == _meet(_sup_min_scaled(s, a, b, h), _sup_min_scaled(s, b, a, h), h)
+        for a, b, h in pair_list
     )
 
     flags = (is_regular(s) and is_intra_regular(s), squares_ok, pairs_ok)
