@@ -117,9 +117,6 @@ class FuzzySubset:
             vec[structure.element_index[name]] = as_grade(value)
         return cls(structure, tuple(vec))
 
-    def __getitem__(self, x: int) -> Fraction:
-        return self.grades[x]
-
     def grade_of(self, name: str) -> Fraction:
         idx = self.structure.element_index.get(name)
         if idx is None:
@@ -263,13 +260,17 @@ def constant(
 
 
 def _thresholds(breaks: set[int]) -> list[int]:
-    """Ascending: each scaled breakpoint but 0, preceded by the midpoint of
-    the cell below it (an exact int, as scaled breakpoints are even)."""
+    """Ascending: each scaled breakpoint but 0, preceded by its cell's midpoint."""
     cells, low = [], 0
     for b in sorted(breaks - {0}):
         cells += (low + b) // 2, b
         low = b
     return cells
+
+
+def _critical(g: list[int], base: int) -> list[int]:
+    """critical_thresholds of the grades g scaled to base, scaled the same."""
+    return _thresholds({*g, *(base - v for v in g), base // 2, base})
 
 
 def critical_thresholds(mu: FuzzySubset) -> tuple[Fraction, ...]:
@@ -282,5 +283,4 @@ def critical_thresholds(mu: FuzzySubset) -> tuple[Fraction, ...]:
     midpoint of each consecutive pair and of the gap below the smallest).
     """
     g, base = _scaled(mu)
-    breaks = {*g, *(base - v for v in g), base // 2, base}
-    return tuple(Fraction(t, base) for t in _thresholds(breaks))
+    return tuple(Fraction(t, base) for t in _critical(g, base))

@@ -22,10 +22,10 @@ from .fuzzy import (
     IN_OR_Q,
     ZERO,
     FuzzySubset,
+    _critical,
     _scaled,
     _scaled_pair,
     _sup_min_scaled,
-    _thresholds,
 )
 from .predicates import (
     AlphaBetaPair,
@@ -82,8 +82,7 @@ def _cuts_are(mu: FuzzySubset, check, bracket: bool) -> bool:
     g, base = _scaled(mu)
     cuts = {
         frozenset(i for i, v in enumerate(g) if v >= t or bracket and v + t > base)
-        for t in _thresholds({*g, *(base - v for v in g), base // 2, base})
-        if bracket or t <= base // 2
+        for t in _critical(g, base) if bracket or t <= base // 2
     }
     return all(check(mu.structure, cut) for cut in cuts if cut)
 
