@@ -177,8 +177,9 @@ def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
 def _scaled(mu: FuzzySubset) -> tuple[list[int], int]:
     """mu's grades times B = 2 * lcm(2, denominators), and B: every scaled
     grade is even and B % 4 == 0, so 1/2 is B // 2 and midpoints are exact."""
-    base = 2 * lcm(2, *[g.denominator for g in mu.grades])
-    return [g.numerator * (base // g.denominator) for g in mu.grades], base
+    ratios = [g.as_integer_ratio() for g in mu.grades]
+    base = 2 * lcm(2, *[d for _, d in ratios])
+    return [n * (base // d) for n, d in ratios], base
 
 
 def _scaled_pair(lam: FuzzySubset, mu: FuzzySubset) -> tuple[list[int], list[int], int]:
