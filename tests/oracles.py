@@ -22,6 +22,7 @@ from gsfuzz.fuzzy import (
     ZERO,
     FuzzyPoint,
     PointRelation,
+    RelKind,
     critical_thresholds,
     point_satisfies,
 )
@@ -157,6 +158,45 @@ def _first_refuting_cell(mu, alpha, beta, x: int, z: int, w: int) -> tuple:
         for t in cells if premise(x, t)
         for r in cells if premise(z, r) and not concludes(min(t, r))
     )
+
+
+@cache
+def _grade_points(*grades) -> tuple:
+    """The cells cut by the grades, and per grade g, at every cell v, the
+    pair (x_v in mu, x_v q mu) for mu(x) = g: g >= v and g + v > 1."""
+    cells = _cells(*grades)
+    return cells, {g: [(g >= v, g + v > ONE) for v in cells] for g in grades}
+
+
+def _holding_cells(rel: PointRelation, points: list) -> list:
+    """The indices of the cells v with x_v rel mu, from _grade_points."""
+    if rel.kind is RelKind.IN:
+        holds = [b for b, _ in points]
+    elif rel.kind is RelKind.Q:
+        holds = [q for _, q in points]
+    elif rel.kind is RelKind.IN_OR_Q:
+        holds = [b or q for b, q in points]
+    else:
+        holds = [b and q for b, q in points]
+    return [i for i, h in enumerate(holds) if h != rel.negated]
+
+
+def refuting_cells_by_grades(alphas, betas, a, c, w) -> list:
+    """For every (alpha, beta) in alphas x betas, in that order: the
+    _first_refuting_cell for the grades a = mu(x), c = mu(z), w = mu(x z)
+    alone, or None when no cell refutes the point implication."""
+    cells, points = _grade_points(*sorted({a, c, w}))
+    concludes = [set(_holding_cells(beta, points[w])) for beta in betas]
+    out = []
+    for alpha in alphas:
+        ts, rs = _holding_cells(alpha, points[a]), _holding_cells(alpha, points[c])
+        # on ascending cells, min(cells[i], cells[j]) is cells[min(i, j)]
+        out += [
+            next(((cells[i], cells[j])
+                  for i in ts for j in rs if (i if i < j else j) not in holds), None)
+            for holds in concludes
+        ]
+    return out
 
 
 def first_alpha_beta_failure(

@@ -42,6 +42,7 @@ from gsfuzz.search import GeneratorConfig, find_witness, generate_structures, ra
 from gsfuzz.structure import classify_subset
 
 from corpus import exhaustive
+from oracles import refuting_cells_by_grades
 
 ALPHAS = ("in", "q", "invq")
 BETAS = ("in", "q", "invq", "inandq")
@@ -194,14 +195,18 @@ def _grid(d):
     return [F(i, d) for i in range(d + 1)]
 
 
-def _sampler_fails(spec, base, scaled):
-    """Per triple (a, c, w) of scaled grades: does the cell sampler refute it?"""
+def _sampler_cells(spec, base, scaled):
+    """Per triple (a, c, w) of scaled grades: the cell sampler's (t, r), or None."""
     pair = AlphaBetaPair.parse(spec)
-    return tuple(_failing_cell(pair, base, *t) is not None for t in product(scaled, repeat=3))
+    return tuple(_failing_cell(pair, base, *t) for t in product(scaled, repeat=3))
+
+
+def _refuted(cells):
+    return tuple(c is not None for c in cells)
 
 
 def _bound_fails(spec, base, scaled):
-    """The same, by the closed-form bound, in the same triple order."""
+    """Per triple, in the same order: does the closed-form bound refute it?"""
     key, bounds = _product_bounds(AlphaBetaPair.parse(spec), scaled, base)
     at = range(len(scaled))
     return tuple(key[w] < bounds[a][c] for a, c, w in product(at, repeat=3))
@@ -209,29 +214,62 @@ def _bound_fails(spec, base, scaled):
 
 @pytest.fixture(scope="module")
 def grid24_sampler():
-    """The scaled 1/24 grid and each pair's sampler verdicts on its triples."""
+    """The scaled 1/24 grid and each pair's sampler cells on its triples."""
     base, scaled = _scaled(_grid(24))
-    return base, scaled, {spec: _sampler_fails(spec, base, scaled) for spec in ALL_PAIRS}
+    return base, scaled, {spec: _sampler_cells(spec, base, scaled) for spec in ALL_PAIRS}
+
+
+# grades with mixed denominators, 0 and 1 included
+MIXED = [0, F(1, 5), F(1, 4), F(1, 3), F(2, 5), HALF, F(2, 3), F(3, 4), F(4, 5), 1]
 
 
 def test_alpha_beta_bounds_match_sampler(grid24_sampler):
     # a, c and w each run over the whole grid, so a = 0 and c = 0 are covered
-    mixed = [0, F(1, 5), F(1, 4), F(1, 3), F(2, 5), HALF, F(2, 3), F(3, 4), F(4, 5), 1]
-    for values in (_grid(12), _grid(7), mixed):
+    for values in (_grid(12), _grid(7), MIXED):
         base, scaled = _scaled(values)
         for spec in ALL_PAIRS:
-            assert _bound_fails(spec, base, scaled) == _sampler_fails(spec, base, scaled), (
-                spec, values)
+            assert _bound_fails(spec, base, scaled) == _refuted(
+                _sampler_cells(spec, base, scaled)), (spec, values)
     base, scaled, sampled = grid24_sampler
     for spec in ALL_PAIRS:
-        assert _bound_fails(spec, base, scaled) == sampled[spec], spec
+        assert _bound_fails(spec, base, scaled) == _refuted(sampled[spec]), spec
+
+
+def _assert_first_refuting_cells(values, base, sampled):
+    """Each sampled (t, r) is the first refuting cell by definition."""
+    values = [F(v) for v in values]
+    alphas = [PointRelation.parse(a) for a in ALPHAS]
+    betas = [PointRelation.parse(n + b) for n in ("", "not-") for b in BETAS]
+    assert [PointRelation.parse(t) for spec in ALL_PAIRS for t in spec.split(",")] == [
+        r for pair in product(alphas, betas) for r in pair]
+    columns = [sampled[spec] for spec in ALL_PAIRS]
+    as_grade = [F(v, base) for v in range(base + 1)]
+    for at, triple in enumerate(product(values, repeat=3)):
+        expected = refuting_cells_by_grades(alphas, betas, *triple)
+        for spec, cells, want in zip(ALL_PAIRS, columns, expected):
+            cell = cells[at]
+            got = cell and (as_grade[cell[0]], as_grade[cell[1]])
+            assert got == want, (spec, triple)
+
+
+@pytest.mark.parametrize("values", [_grid(12), _grid(7), MIXED], ids=["grid12", "grid7", "mixed"])
+def test_failing_cell_is_first_refuting_cell(values):
+    # the exact (t, r), not only whether a cell refutes, for every triple
+    base, scaled = _scaled(values)
+    _assert_first_refuting_cells(
+        values, base, {spec: _sampler_cells(spec, base, scaled) for spec in ALL_PAIRS})
+
+
+def test_failing_cell_is_first_refuting_cell_on_grid24(grid24_sampler):
+    base, _, sampled = grid24_sampler
+    _assert_first_refuting_cells(_grid(24), base, sampled)
 
 
 def test_alpha_beta_pairs_fall_into_ten_regions(grid24_sampler):
     _, _, sampled = grid24_sampler
     classes = defaultdict(set)
-    for spec, fails in sampled.items():
-        classes[fails].add(spec)
+    for spec, cells in sampled.items():
+        classes[_refuted(cells)].add(spec)
     regions = {frozenset(c) for c in classes.values()}
     assert len(regions) == 10
     assert {
