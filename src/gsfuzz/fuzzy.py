@@ -174,12 +174,22 @@ def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
     return LevelSets(u, q, u | q)
 
 
-def _scaled(mu: FuzzySubset) -> tuple[list[int], int]:
+def _scaled(mu: FuzzySubset) -> tuple[tuple[int, ...], int]:
     """mu's grades times B = 2 * lcm(2, denominators), and B: every scaled
-    grade is even and B % 4 == 0, so 1/2 is B // 2 and midpoints are exact."""
-    ratios = [g.as_integer_ratio() for g in mu.grades]
-    base = 2 * lcm(2, *[d for _, d in ratios])
-    return [n * (base // d) for n, d in ratios], base
+    grade is even and B % 4 == 0, so 1/2 is B // 2 and midpoints are exact.
+
+    Computed on first use and kept as an instance attribute, in mu's
+    __dict__ as GammaSemigroup's cached properties are: the fields, hence ==,
+    hash and repr, stay untouched, and a racing second write stores the
+    same value.
+    """
+    form = getattr(mu, "_scaled", None)
+    if form is None:
+        ratios = [g.as_integer_ratio() for g in mu.grades]
+        base = 2 * lcm(2, *[d for _, d in ratios])
+        form = tuple([n * (base // d) for n, d in ratios]), base
+        object.__setattr__(mu, "_scaled", form)  # past the frozen __setattr__
+    return form
 
 
 def _scaled_pair(lam: FuzzySubset, mu: FuzzySubset) -> tuple[list[int], list[int], int]:

@@ -5,9 +5,9 @@ product w of x and z passes when key[w] >= bounds[x][z].  A decider only
 picks its key and bounds: the plain and (in, in-or-q) closed forms are the
 (in, in) and (in, invq) bounds, the one-sided ideals a bound on one factor,
 and the generic (alpha, beta) decider the bound of its pair, which
-quantifies over all point values t, r in (0,1].  On a failure a finite cell
-sample chooses only the (t, r) of an (alpha, beta) witness, see the note
-above _first_failure.
+quantifies over all point values t, r in (0,1].  On a failure one pass over
+a finite candidate list chooses only the (t, r) of an (alpha, beta) witness,
+see the note above _first_failure.
 
 All verdicts carry a witness when they are negative, chosen as the
 lexicographically first failure in element / gamma / candidate-value order so
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import EmptyFuzzySubset, InvalidAlpha, UnknownPredicateName
 from .fuzzy import (
@@ -51,6 +51,22 @@ __all__ = [
 ]
 
 
+# beta*: x_t not-beta mu iff x_t beta* 1-mu (see the note above _first_failure)
+_DUAL = {RelKind.IN: RelKind.Q, RelKind.Q: RelKind.IN,
+         RelKind.IN_OR_Q: RelKind.IN_AND_Q, RelKind.IN_AND_Q: RelKind.IN_OR_Q}
+# (alpha, plain beta) -> how U combines a and c, and the divisor of B capping it
+_BOUND_RULES = {
+    (RelKind.IN, RelKind.IN): (min, 1), (RelKind.IN, RelKind.IN_OR_Q): (min, 2),
+    (RelKind.Q, RelKind.Q): (max, 1), (RelKind.Q, RelKind.IN_OR_Q): (max, 2),
+    (RelKind.IN_OR_Q, RelKind.IN_OR_Q): (max, 2),
+}
+# x_t kind mu iff (t <= ends[i] or t > ends[j]) != flip, where (i, j, flip) =
+# _INTERVALS[kind] and ends = (g, B - g, 0, B) for x of scaled grade g: in is
+# t <= g, q is t > B - g, invq either, and inandq neither t <= B - g nor t > g.
+_INTERVALS = {RelKind.IN: (0, 3, False), RelKind.Q: (2, 1, False),
+              RelKind.IN_OR_Q: (0, 1, False), RelKind.IN_AND_Q: (1, 0, True)}
+
+
 @dataclass(frozen=True)
 class AlphaBetaPair:
     """(alpha, beta) with alpha in {in, q, invq}; beta may be any relation.
@@ -65,6 +81,19 @@ class AlphaBetaPair:
     def __post_init__(self):
         if self.alpha.kind is RelKind.IN_AND_Q or self.alpha.negated:
             raise InvalidAlpha(f"alpha {self.alpha.token!r} not allowed")
+        # What the deciders look up, resolved once and kept beside the fields
+        # (so ==, hash and repr stay those of alpha and beta): whether beta is
+        # decided as its dual, the bound rule, and the premise and conclusion
+        # intervals of _INTERVALS.
+        beta = _DUAL[self.beta.kind] if self.beta.negated else self.beta.kind
+        compiled = {
+            "_dual": self.beta.negated,
+            "_rule": _BOUND_RULES.get((self.alpha.kind, beta)),
+            "_premise": _INTERVALS[self.alpha.kind],
+            "_conclusion": _INTERVALS[beta],
+        }
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def parse(cls, text: str) -> "AlphaBetaPair":
@@ -101,7 +130,7 @@ _TRUE = PredicateVerdict(True)
 _IN_IN, _IN_INVQ = AlphaBetaPair(IN, IN), AlphaBetaPair(IN, IN_OR_Q)
 
 
-def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
+def _scaled_grades(mu: FuzzySubset) -> tuple[tuple[int, ...], int]:
     """fuzzy._scaled, refusing the zero fuzzy subset."""
     scaled, base = _scaled(mu)
     if not any(scaled):
@@ -122,16 +151,20 @@ def _scaled_grades(mu: FuzzySubset) -> tuple[list[int], int]:
 # mu iff x_t beta* 1-mu, beta* swapping in/q and invq/inandq, so
 # (alpha, not-beta) decides as (alpha, beta*) on key(w) = B - mu(w).
 #
-# Tests pin each (alpha, beta) bound to the cell sampler, which also picks
-# the (t, r) of the witness on the first failing product.  Its conditions
-# compare t, r with mu(x), mu(z), mu(w), their complements or 1, so the
-# implication is constant on the cells those breakpoints cut out of (0,1];
-# min(t, r) of two representatives represents the min cell.  The scan loops
-# stay inline because the witness hunts call the deciders on many tiny
-# subsets.
+# Tests pin each (alpha, beta) bound to the cell sampler, _failing_cell,
+# which also picks the (t, r) of the witness on the first failing product.
+# Its conditions compare t, r with mu(x), mu(z), mu(w), their complements or
+# 1, so the implication is constant on the cells those breakpoints cut out
+# of (0,1]; min(t, r) of two representatives represents the min cell.  Each
+# relation is an interval test on one candidate (_INTERVALS): the premise
+# x_t alpha mu is t <= p or t > q, and w_m beta mu fails iff p < m <= q,
+# inverted for in-and-q, with negated beta its dual on B - mu(w).  So one
+# ascending pass over the candidates finds the first failing (t, r).  The
+# pair resolves these rules once, when it is built.  The scan loops stay
+# inline because the witness hunts call the deciders on many tiny subsets.
 
 
-def _first_failure(s, key: list[int], bounds: list, bi: bool) -> tuple | None:
+def _first_failure(s, key: Sequence[int], bounds: list, bi: bool) -> tuple | None:
     """The first failing (x, y, gamma), then with bi the first failing
     (x, y, a, z, b), in the pinned order, with its right factor and product
     w; None when every product passes."""
@@ -227,26 +260,11 @@ def _within_or_q(nu: list[int], mu: list[int], base: int) -> bool:
     return all(m >= v or m + m >= base for v, m in zip(nu, mu))
 
 
-def _premise_filter(alpha: PointRelation, g: int, base: int, cands: list[int]) -> list[int]:
-    if alpha.kind is RelKind.IN:
-        return [t for t in cands if t <= g]
-    if alpha.kind is RelKind.Q:
-        return [t for t in cands if g + t > base]
-    return [t for t in cands if t <= g or g + t > base]
-
-
-def _beta_failures(beta: PointRelation, g: int, base: int, cands: list[int]) -> set[int]:
-    """The candidates m with w_m not beta mu, for w of scaled grade g."""
-    q = base - g  # w_m q mu iff m > q
-    if beta.kind is RelKind.IN:
-        holds = {m for m in cands if m <= g}
-    elif beta.kind is RelKind.Q:
-        holds = {m for m in cands if m > q}
-    elif beta.kind is RelKind.IN_OR_Q:
-        holds = {m for m in cands if m <= g or m > q}
-    else:
-        holds = {m for m in cands if q < m <= g}
-    return holds if beta.negated else set(cands) - holds
+def _interval(rule: tuple, g: int, base: int) -> tuple[int, int]:
+    """(p, q) with x_t rel mu iff (t <= p or t > q) != flip, for the rule
+    (i, j, flip) = _INTERVALS[rel.kind] and x of scaled grade g."""
+    ends = (g, base - g, 0, base)
+    return ends[rule[0]], ends[rule[1]]
 
 
 def _failing_cell(
@@ -255,41 +273,43 @@ def _failing_cell(
     """First candidate (t, r) with x_t, z_r alpha mu but not w_min(t,r) beta mu.
 
     gx, gz, gw are the scaled grades of x, z and the product w; None when
-    the point implication holds for this product.
+    the point implication holds for this product.  One ascending pass: t is
+    the first premise value that some premise r <= t refutes, with r the
+    first such, or that refutes by itself, with r the first premise r > t.
     """
     if not gx or not gz:  # no point x_t (t > 0) of grade 0 satisfies alpha
         return None
     cands = _thresholds({gx, gz, gw, base - gx, base - gz, base - gw, base})
-    # min(t, r) is itself a candidate, so beta is tested once per candidate.
-    bad = _beta_failures(pair.beta, gw, base, cands)
-    if not bad:
-        return None
-    rs = _premise_filter(pair.alpha, gz, base, cands)
-    for t in _premise_filter(pair.alpha, gx, base, cands):
-        for r in rs:
-            if (t if t < r else r) in bad:
-                return t, r
+    px, qx = _interval(pair._premise, gx, base)
+    pz, qz = _interval(pair._premise, gz, base)
+    pw, qw = _interval(pair._conclusion, base - gw if pair._dual else gw, base)
+    flip = pair._conclusion[2]
+    t = r = None
+    for m in cands:
+        z_holds = m <= pz or m > qz
+        if t is not None:
+            if z_holds:
+                return t, m
+            continue
+        refutes = (m <= pw or m > qw) == flip  # w_m not beta mu
+        if r is None and z_holds and refutes:
+            r = m
+        if m <= px or m > qx:
+            if r is not None:
+                return m, r
+            if refutes:
+                t = m
     return None
 
 
-_DUAL = {RelKind.IN: RelKind.Q, RelKind.Q: RelKind.IN,
-         RelKind.IN_OR_Q: RelKind.IN_AND_Q, RelKind.IN_AND_Q: RelKind.IN_OR_Q}
-# (alpha, plain beta) -> how U combines a and c, and the divisor of B capping it
-_BOUND_RULES = {
-    (RelKind.IN, RelKind.IN): (min, 1), (RelKind.IN, RelKind.IN_OR_Q): (min, 2),
-    (RelKind.Q, RelKind.Q): (max, 1), (RelKind.Q, RelKind.IN_OR_Q): (max, 2),
-    (RelKind.IN_OR_Q, RelKind.IN_OR_Q): (max, 2),
-}
-
-
-def _product_bounds(pair: AlphaBetaPair, g: list[int], base: int) -> tuple[list, list]:
+def _product_bounds(
+    pair: AlphaBetaPair, g: Sequence[int], base: int
+) -> tuple[Sequence[int], list]:
     """key and bounds of the pair's closed form (see the note above
     _first_failure), for the scaled grades g: the product w of x and z fails
     exactly when key[w] < bounds[x][z]."""
-    beta, key = pair.beta.kind, g
-    if pair.beta.negated:
-        beta, key = _DUAL[beta], [base - v for v in g]
-    rule = _BOUND_RULES.get((pair.alpha.kind, beta))
+    key = [base - v for v in g] if pair._dual else g
+    rule = pair._rule
     if rule is None:  # U = B on the support
         combine, c = min, [base if v else 0 for v in g]
     else:

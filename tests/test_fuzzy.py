@@ -1,5 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -12,6 +14,7 @@ from gsfuzz import (
     constant,
     critical_thresholds,
     gamma_product,
+    is_eq_bi_ideal,
     level_sets,
     o05_product,
     o_product,
@@ -26,7 +29,7 @@ from gsfuzz.errors import (
     StructureMismatch,
     UnknownElement,
 )
-from gsfuzz.fuzzy import HALF, IN, IN_AND_Q, IN_OR_Q, ONE, Q, PointRelation, ZERO
+from gsfuzz.fuzzy import HALF, IN, IN_AND_Q, IN_OR_Q, ONE, Q, PointRelation, ZERO, _scaled
 from gsfuzz.search import GeneratorConfig, random_fuzzy
 
 from corpus import exhaustive
@@ -266,6 +269,25 @@ def test_no_point_is_in_and_q_when_capped(ex46):
     for x in range(s.n):
         for t in critical_thresholds(mu):
             assert not point_satisfies(FuzzyPoint(x, t), mu, IN_AND_Q)
+
+
+def test_scaled_memo_leaves_values_unchanged(ex34):
+    s = ex34.structure
+    grades = (F(1, 3), F(2, 5), F(3, 4), ONE, F(5, 6), ZERO)[: s.n]
+    assert len(grades) == s.n
+    decided, fresh = FuzzySubset(s, grades), FuzzySubset(s, grades)
+    is_eq_bi_ideal(decided)
+    assert "_scaled" in decided.__dict__ and "_scaled" not in fresh.__dict__
+    assert decided == fresh and hash(decided) == hash(fresh) == hash((s, grades))
+    assert repr(decided) == repr(fresh)
+    scaled, base = _scaled(decided)
+    assert base == 2 * lcm(2, *(g.denominator for g in grades))
+    assert scaled == tuple(g * base for g in grades) and all(type(v) is int for v in scaled)
+    assert _scaled(fresh) == (scaled, base)
+    # replace builds a new instance: same value, and no memo of the old grades
+    assert replace(decided) == decided
+    halved = replace(decided, grades=tuple(g / 2 for g in grades))
+    assert _scaled(halved) == (tuple(g * 2 * base for g in halved.grades), 2 * base)
 
 
 def test_fuzzy_subset_validation(ex34):

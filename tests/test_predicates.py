@@ -169,6 +169,17 @@ def test_alpha_beta_constant_one_satisfies_everything(ex34):
             assert is_alpha_beta_bi_ideal(one, pair).holds
 
 
+def test_alpha_beta_pair_values_ignore_compiled_rule():
+    pairs = [AlphaBetaPair.parse(spec) for spec in ALL_PAIRS]
+    assert len(set(pairs)) == 24
+    for pair in pairs:
+        twin = AlphaBetaPair(pair.alpha, pair.beta)
+        assert pair == twin == replace(pair)
+        assert hash(pair) == hash(twin) == hash((pair.alpha, pair.beta))
+        assert repr(pair) == f"AlphaBetaPair(alpha={pair.alpha!r}, beta={pair.beta!r})"
+    assert AlphaBetaPair.parse("in,q") != AlphaBetaPair.parse("in,not-in")
+
+
 def test_alpha_beta_rejects_bad_alpha():
     with pytest.raises(InvalidAlpha):
         AlphaBetaPair.parse("inandq,in")
