@@ -297,7 +297,7 @@ def validate_homomorphism(
     for v in mapping:
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < target.n:
             raise IndexOutOfRange(f"mapped value {v!r} out of target range")
-    bad = _hom_failure(source, target, mapping)
+    bad = _hom_failure(source.cayley, target.cayley, _gamma_translation(source, target), mapping)
     if bad is not None:
         x, g, y = bad
         h = target.gamma_index[source.gammas[g]]
@@ -309,19 +309,23 @@ def validate_homomorphism(
     return Homomorphism(source, target, mapping)
 
 
+def _gamma_translation(source: GammaSemigroup, target: GammaSemigroup) -> list[int]:
+    """Target index of each source gamma: the symbols may be listed in
+    different orders on the two sides."""
+    return [target.gamma_index[name] for name in source.gammas]
+
+
 def _hom_failure(
-    source: GammaSemigroup, target: GammaSemigroup, mapping: Sequence[int]
+    cube: Cube, target_cube: Cube, tg: list[int], mapping: Sequence[int]
 ) -> tuple[int, int, int] | None:
-    """First (x, g, y) in scan order with f(x g y) != f(x) g f(y)."""
-    # Gamma symbols may be listed in different orders on the two sides.
-    tg = [target.gamma_index[name] for name in source.gammas]
-    rng = range(source.n)
-    for x in rng:
-        fx = target.cayley[mapping[x]]
-        for g, row in enumerate(source.cayley[x]):
+    """First (x, g, y) in scan order with f(x g y) != f(x) g f(y), for the
+    source and target Cayley cubes and the gamma translation tg."""
+    for x, planes in enumerate(cube):
+        fx = target_cube[mapping[x]]
+        for g, row in enumerate(planes):
             frow = fx[tg[g]]
-            for y in rng:
-                if mapping[row[y]] != frow[mapping[y]]:
+            for y, w in enumerate(row):
+                if mapping[w] != frow[mapping[y]]:
                     return (x, g, y)
     return None
 
@@ -332,9 +336,11 @@ def enumerate_homomorphisms(
     """Brute-force all (optionally surjective) homomorphisms source -> target."""
     if set(source.gammas) != set(target.gammas):
         return []
+    m, cube, target_cube = target.n, source.cayley, target.cayley
+    tg = _gamma_translation(source, target)
     return [
         Homomorphism(source, target, mapping)
-        for mapping in product(range(target.n), repeat=source.n)
-        if (not surjective_only or len(set(mapping)) == target.n)
-        and _hom_failure(source, target, mapping) is None
+        for mapping in product(range(m), repeat=source.n)
+        if (not surjective_only or len(set(mapping)) == m)
+        and _hom_failure(cube, target_cube, tg, mapping) is None
     ]
