@@ -86,14 +86,10 @@ class AlphaBetaPair:
         # decided as its dual, the bound rule, and the premise and conclusion
         # intervals of _INTERVALS.
         beta = _DUAL[self.beta.kind] if self.beta.negated else self.beta.kind
-        compiled = {
-            "_dual": self.beta.negated,
-            "_rule": _BOUND_RULES.get((self.alpha.kind, beta)),
-            "_premise": _INTERVALS[self.alpha.kind],
-            "_conclusion": _INTERVALS[beta],
-        }
-        for name, value in compiled.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_dual", self.beta.negated)
+        object.__setattr__(self, "_rule", _BOUND_RULES.get((self.alpha.kind, beta)))
+        object.__setattr__(self, "_premise", _INTERVALS[self.alpha.kind])
+        object.__setattr__(self, "_conclusion", _INTERVALS[beta])
 
     @classmethod
     def parse(cls, text: str) -> "AlphaBetaPair":
@@ -261,8 +257,7 @@ def _within_or_q(nu: list[int], mu: list[int], base: int) -> bool:
 
 
 def _interval(rule: tuple, g: int, base: int) -> tuple[int, int]:
-    """(p, q) with x_t rel mu iff (t <= p or t > q) != flip, for the rule
-    (i, j, flip) = _INTERVALS[rel.kind] and x of scaled grade g."""
+    """The (p, q) of the rule (i, j, flip) of _INTERVALS, for x of scaled grade g."""
     ends = (g, base - g, 0, base)
     return ends[rule[0]], ends[rule[1]]
 
@@ -277,8 +272,6 @@ def _failing_cell(
     the first premise value that some premise r <= t refutes, with r the
     first such, or that refutes by itself, with r the first premise r > t.
     """
-    if not gx or not gz:  # no point x_t (t > 0) of grade 0 satisfies alpha
-        return None
     cands = _thresholds({gx, gz, gw, base - gx, base - gz, base - gw, base})
     px, qx = _interval(pair._premise, gx, base)
     pz, qz = _interval(pair._premise, gz, base)

@@ -297,10 +297,11 @@ def validate_homomorphism(
     for v in mapping:
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < target.n:
             raise IndexOutOfRange(f"mapped value {v!r} out of target range")
-    bad = _hom_failure(source.cayley, target.cayley, _gamma_translation(source, target), mapping)
+    tg = [target.gamma_index[name] for name in source.gammas]
+    bad = _hom_failure(source.cayley, target.cayley, tg, mapping)
     if bad is not None:
         x, g, y = bad
-        h = target.gamma_index[source.gammas[g]]
+        h = tg[g]
         raise HomomorphismViolation(
             source.elements[x], source.gammas[g], source.elements[y],
             target.elements[mapping[source.cayley[x][g][y]]],
@@ -309,17 +310,12 @@ def validate_homomorphism(
     return Homomorphism(source, target, mapping)
 
 
-def _gamma_translation(source: GammaSemigroup, target: GammaSemigroup) -> list[int]:
-    """Target index of each source gamma: the symbols may be listed in
-    different orders on the two sides."""
-    return [target.gamma_index[name] for name in source.gammas]
-
-
 def _hom_failure(
     cube: Cube, target_cube: Cube, tg: list[int], mapping: Sequence[int]
 ) -> tuple[int, int, int] | None:
     """First (x, g, y) in scan order with f(x g y) != f(x) g f(y), for the
-    source and target Cayley cubes and the gamma translation tg."""
+    source and target Cayley cubes; the target index of source gamma g is
+    tg[g], as the symbols may be listed in different orders on the two sides."""
     for x, planes in enumerate(cube):
         fx = target_cube[mapping[x]]
         for g, row in enumerate(planes):
@@ -337,7 +333,7 @@ def enumerate_homomorphisms(
     if set(source.gammas) != set(target.gammas):
         return []
     m, cube, target_cube = target.n, source.cayley, target.cayley
-    tg = _gamma_translation(source, target)
+    tg = [target.gamma_index[name] for name in source.gammas]
     return [
         Homomorphism(source, target, mapping)
         for mapping in product(range(m), repeat=source.n)
