@@ -10,14 +10,12 @@ File format (UTF-8, line oriented, '#' starts a comment):
     e e b
     fuzzy mu e=1/2 a=3/5 b=3/5
     subset A e a
-    map f -> other.gsf : e=e a=a b=b
 
 Row i, column j of the block under ``table g`` is the product
 (element_i g element_j); while a table is open every line is one of its rows,
-so an element may be named like a directive.  Names, map targets and map
-images are single tokens without '=', '#' or ':'.  Grades accept p/q or
-decimal literals, both parsed exactly; fuzzy lines may omit elements, which
-default to grade 0.
+so an element may be named like a directive.  Names are single tokens
+without '=', '#' or ':'.  Grades accept p/q or decimal literals, both parsed
+exactly; fuzzy lines may omit elements, which default to grade 0.
 
 Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
 all-zero fuzzy subset and a hit subset-scan cap or sampling budget
@@ -41,9 +39,10 @@ from .errors import (
     EmptyFuzzySubset,
     GsfError,
     InvalidAlpha,
+    InvalidGrade,
     MissingTable,
 )
-from .fuzzy import FuzzySubset
+from .fuzzy import FuzzySubset, as_grade
 from .predicates import PredicateVerdict, Witness, check_by_name
 from .search import (
     GeneratorConfig,
@@ -65,12 +64,6 @@ from .theorems import (
 
 
 @dataclass
-class MapSpec:
-    target: str
-    assignments: dict
-
-
-@dataclass
 class StructureDocument:
     """Parsed form of a .gsf file."""
 
@@ -79,7 +72,6 @@ class StructureDocument:
     tables: dict = field(default_factory=dict)    # gamma name -> row-major names
     fuzzy: dict = field(default_factory=dict)     # name -> {element: Fraction}
     subsets: dict = field(default_factory=dict)   # name -> [element names]
-    maps: dict = field(default_factory=dict)      # name -> MapSpec
 
     def to_structure(self) -> GammaSemigroup:
         eidx = {name: i for i, name in enumerate(self.elements)}
@@ -100,12 +92,9 @@ class StructureDocument:
 
 def _grade_token(line_no: int, token: str) -> Fraction:
     try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise BadRational(f"malformed grade {token!r}", line_no) from None
-    if not 0 <= value <= 1:
-        raise BadRational(f"grade {token} outside [0,1]", line_no)
-    return value
+        return as_grade(token)
+    except InvalidGrade as exc:
+        raise BadRational(str(exc), line_no) from None
 
 
 def _check_names(names, line_no: int | None = None) -> None:
@@ -151,7 +140,7 @@ def parse(text: str) -> StructureDocument:
                 if len(pending_rows) == len(doc.elements):
                     close_table(line_no)
                 continue
-            if head in ("elements", "gammas", "table", "fuzzy", "subset", "map"):
+            if head in ("elements", "gammas", "table", "fuzzy", "subset"):
                 close_table(line_no)  # a directive that is no row: the table is short
             if unknown and len(tokens) == len(doc.elements):
                 raise DocumentSyntaxError(f"unknown element {unknown[0]!r}", line_no)
@@ -192,6 +181,8 @@ def parse(text: str) -> StructureDocument:
                 el, eq, val = tok.partition("=")
                 if not eq or el not in doc.elements:
                     raise DocumentSyntaxError(f"bad grade assignment {tok!r}", line_no)
+                if el in grades:
+                    raise DuplicateName(f"element {el!r} graded twice", line_no)
                 grades[el] = _grade_token(line_no, val)
             doc.fuzzy[name] = grades
         elif head == "subset":
@@ -205,22 +196,6 @@ def parse(text: str) -> StructureDocument:
                 if el not in doc.elements:
                     raise DocumentSyntaxError(f"unknown element {el!r}", line_no)
             doc.subsets[name] = tokens[2:]
-        elif head == "map":
-            # map NAME -> TARGET : x=y ...
-            if len(tokens) < 5 or tokens[2] != "->" or tokens[4] != ":":
-                raise DocumentSyntaxError("usage: map NAME -> FILE : x=y ...", line_no)
-            name, target = tokens[1], tokens[3]
-            _check_names([name, target], line_no)
-            if name in doc.maps:
-                raise DuplicateName(f"map {name!r} already given", line_no)
-            assignments = {}
-            for tok in tokens[5:]:
-                src, eq, dst = tok.partition("=")
-                if not eq or src not in doc.elements:
-                    raise DocumentSyntaxError(f"bad map assignment {tok!r}", line_no)
-                _check_names([dst], line_no)
-                assignments[src] = dst
-            doc.maps[name] = MapSpec(target, assignments)
         else:
             raise DocumentSyntaxError(f"unknown directive {head!r}", line_no)
 
@@ -240,9 +215,7 @@ def print_document(doc: StructureDocument) -> str:
 
     Raises DocumentSyntaxError for a name that the format cannot carry.
     """
-    _check_names([*doc.elements, *doc.gammas, *doc.fuzzy, *doc.subsets, *doc.maps])
-    for spec in doc.maps.values():
-        _check_names([spec.target, *spec.assignments.values()])
+    _check_names([*doc.elements, *doc.gammas, *doc.fuzzy, *doc.subsets])
     out = [
         "elements " + " ".join(doc.elements),
         "gammas " + " ".join(doc.gammas),
@@ -255,9 +228,6 @@ def print_document(doc: StructureDocument) -> str:
         out.append(f"fuzzy {name} {entries}".rstrip())
     for name, members in doc.subsets.items():
         out.append(f"subset {name} " + " ".join(members))
-    for name, spec in doc.maps.items():
-        pairs = " ".join(f"{src}={dst}" for src, dst in spec.assignments.items())
-        out.append(f"map {name} -> {spec.target} : {pairs}")
     return "\n".join(out) + "\n"
 
 

@@ -43,7 +43,7 @@ class IndexOutOfRange(GsfError):
 
 
 class CarrierTooLarge(GsfError):
-    """A 2^n subset scan would exceed the configured enumeration cap."""
+    """A 2^n subset scan would exceed the enumeration cap."""
 
 
 class GammaMismatch(GsfError):

@@ -98,6 +98,8 @@ class FuzzySubset:
     grades: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.grades) is not tuple:  # a caller's list must not alias the grades
+            object.__setattr__(self, "grades", tuple(self.grades))
         if len(self.grades) != self.structure.n:
             raise InvalidGrade("one grade per carrier element required")
         for g in self.grades:

@@ -26,6 +26,7 @@ from .predicates import (
     is_eq_subsemigroup,
 )
 from .structure import (
+    SUBSET_SCAN_LIMIT,
     CrispSubset,
     GammaSemigroup,
     _assoc_failure,
@@ -34,7 +35,6 @@ from .structure import (
     is_left_ideal,
     is_right_ideal,
     is_subsemigroup,
-    subset_scan_limit,
     validate_structure,
 )
 
@@ -255,9 +255,9 @@ def enumerate_crisp(structure: GammaSemigroup, kind: str) -> list[CrispSubset]:
     check = _CRISP_KINDS.get(kind)
     if check is None:
         raise ValueError(f"kind must be one of {sorted(_CRISP_KINDS)}")
-    if structure.n > subset_scan_limit():
+    if structure.n > SUBSET_SCAN_LIMIT:
         raise CarrierTooLarge(
-            f"2^{structure.n} subset scan exceeds the cap (n <= {subset_scan_limit()})"
+            f"2^{structure.n} subset scan exceeds the cap (n <= {SUBSET_SCAN_LIMIT})"
         )
     return [a for a in _nonempty_subsets(structure.n) if check(structure, a)]
 

@@ -12,7 +12,6 @@ indices on construction and all computation below is index-based.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -35,16 +34,8 @@ Cube = tuple[tuple[tuple[int, ...], ...], ...]
 # Crisp subsets are frozensets of element indices.
 CrispSubset = frozenset
 
-DEFAULT_SUBSET_SCAN_LIMIT = 16
-
-
-def subset_scan_limit() -> int:
-    """Carrier-size cap for 2^n subset scans (env GSF_MAX_SUBSET_SCAN)."""
-    raw = os.environ.get("GSF_MAX_SUBSET_SCAN")
-    try:
-        return int(raw) if raw else DEFAULT_SUBSET_SCAN_LIMIT
-    except ValueError:
-        raise ValueError(f"GSF_MAX_SUBSET_SCAN must be an integer, got {raw!r}") from None
+# Carrier-size cap for 2^n subset scans.
+SUBSET_SCAN_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -248,11 +239,12 @@ def classify_structure(s: GammaSemigroup) -> StructureClassification:
     """Regularity, intra-regularity and the duo flags.
 
     Duo is decided by scanning all 2^n - 1 non-empty subsets for one-sided
-    ideals; raises CarrierTooLarge beyond the configured cap.
+    ideals; raises CarrierTooLarge beyond SUBSET_SCAN_LIMIT.
     """
-    cap = subset_scan_limit()
-    if s.n > cap:
-        raise CarrierTooLarge(f"duo scan needs 2^{s.n} subsets, cap is n <= {cap}")
+    if s.n > SUBSET_SCAN_LIMIT:
+        raise CarrierTooLarge(
+            f"duo scan needs 2^{s.n} subsets, cap is n <= {SUBSET_SCAN_LIMIT}"
+        )
     left_duo = right_duo = True
     for a in _nonempty_subsets(s.n):
         left = is_left_ideal(s, a)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gsfuzz import FuzzyPoint, FuzzySubset, point_satisfies, validate_structure
-from gsfuzz.cli import MapSpec, document_for, parse, print_document, run
+from gsfuzz.cli import document_for, parse, print_document, run
 from gsfuzz.errors import (
     BadRational,
     DocumentError,
@@ -12,7 +12,7 @@ from gsfuzz.errors import (
     MissingTable,
 )
 from gsfuzz.fuzzy import IN
-from gsfuzz.search import SplitMix64, fixtures
+from gsfuzz.search import SplitMix64, fixtures, mod_surrogate
 
 EX34_TEXT = """\
 # three-element carrier, single operation
@@ -71,13 +71,9 @@ def test_parse_duplicates_and_syntax():
     assert exc.value.line == 5
     with pytest.raises(DocumentSyntaxError):
         parse("gammas g\n")
-
-
-def test_parse_map_line(tmp_path):
-    text = EX34_TEXT + "map f -> other.gsf : e=e a=a b=b\n"
-    doc = parse(text)
-    assert doc.maps["f"].target == "other.gsf"
-    assert doc.maps["f"].assignments == {"e": "e", "a": "a", "b": "b"}
+    with pytest.raises(DuplicateName) as exc:
+        parse(EX34_TEXT + "fuzzy nu e=1/2 a=3/5 b=3/5 e=1\n")
+    assert str(exc.value) == "line 10: element 'e' graded twice"
 
 
 def test_roundtrip_fixture_documents():
@@ -86,9 +82,8 @@ def test_roundtrip_fixture_documents():
         assert parse(print_document(doc)) == doc
 
 
-def test_roundtrip_preserves_subsets_and_maps():
-    text = EX34_TEXT + "map f -> other.gsf : e=e a=a b=b\n"
-    doc = parse(text)
+def test_roundtrip_preserves_subsets():
+    doc = parse(EX34_TEXT)
     assert parse(print_document(doc)) == doc
 
 
@@ -132,13 +127,15 @@ def test_roundtrip_random_names():
             i = rng.below(len(names))
             j = rng.below(len(names[i]) + 1)
             names[i] = names[i][:j] + _UNSAFE[rng.below(len(_UNSAFE))] + names[i][j:]
+            # the last two names are drawn only to keep the seeded sequence;
+            # a mark on one of them spoils nothing that is printed
+            spoiled = i < s0.n + s0.k + 2
         elements, gammas = names[: s0.n], names[s0.n: s0.n + s0.k]
-        fuzzy_name, subset_name, map_name, target = names[s0.n + s0.k:]
+        fuzzy_name, subset_name = names[s0.n + s0.k: s0.n + s0.k + 2]
         s = validate_structure(elements, gammas, s0.cayley)
         mu = FuzzySubset(s, [F(rng.below(11), 10) for _ in range(s.n)])
         doc = document_for(s, {fuzzy_name: mu})
         doc.subsets[subset_name] = elements[: 1 + rng.below(s.n)]
-        doc.maps[map_name] = MapSpec(target, {el: elements[0] for el in elements})
         if spoiled:
             with pytest.raises(DocumentError):
                 print_document(doc)
@@ -148,10 +145,7 @@ def test_roundtrip_random_names():
 
 def test_parse_rejects_unsafe_names():
     for text in ("elements a:b\n", "elements a\ngammas g=h\n",
-                 "elements a\ngammas g\ntable g\na\nsubset A:B a\n",
-                 "elements a\ngammas g\ntable g\na\nmap f -> a b : a=a\n",
-                 "elements a\ngammas g\ntable g\na\nmap f -> C:x.gsf : a=a\n",
-                 "elements a\ngammas g\ntable g\na\nmap f -> t.gsf : a=b=c\n"):
+                 "elements a\ngammas g\ntable g\na\nsubset A:B a\n"):
         with pytest.raises(DocumentSyntaxError):
             parse(text)
 
@@ -178,6 +172,12 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "bad.gsf", "elements a\ngammas g\ntable g\na\nfuzzy m a=3/2\n")
     code, out = _run(capsys, ["check", path, "--fuzzy", "m", "--pred", "eq-subsemigroup"])
     assert code == 2 and "line 5" in out
+
+
+def test_cli_map_line_is_an_unknown_directive(tmp_path, capsys):
+    path = _write(tmp_path, "map.gsf", EX34_TEXT + "map f -> other.gsf : e=e a=a b=b\n")
+    code, out = _run(capsys, ["validate", path])
+    assert (code, out) == (2, "error: line 10: unknown directive 'map'\n")
 
 
 def test_cli_usage_error(capsys):
@@ -263,22 +263,12 @@ def test_cli_zero_fuzzy_is_a_usage_error(tmp_path, capsys):
         assert out == "error: the zero fuzzy subset is excluded\n"
 
 
-def test_cli_bad_subset_scan_limit(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
-    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "abc")
-    code, out = _run(capsys, ["classify", path])
-    assert code == 2
-    assert out == "error: GSF_MAX_SUBSET_SCAN must be an integer, got 'abc'\n"
-
-
-def test_cli_caps_are_usage_errors(tmp_path, capsys, monkeypatch):
+def test_cli_caps_are_usage_errors(tmp_path, capsys):
     # A cap stops the run on a valid structure: exit 2, not 3 (invalid structure).
-    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
-    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "2")
+    path = _write(tmp_path, "mod17.gsf", print_document(document_for(mod_surrogate(17).structure)))
     code, out = _run(capsys, ["classify", path])
     assert code == 2
-    assert out == "error: CarrierTooLarge: duo scan needs 2^3 subsets, cap is n <= 2\n"
-    monkeypatch.delenv("GSF_MAX_SUBSET_SCAN")
+    assert out == "error: CarrierTooLarge: duo scan needs 2^17 subsets, cap is n <= 16\n"
     code, out = _run(capsys, ["search", "--want", "eq_subsemigroup", "--n", "4", "--exhaustive"])
     assert code == 2 and out.startswith("error: CarrierTooLarge: ")
 

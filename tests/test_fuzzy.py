@@ -48,6 +48,14 @@ def test_as_grade_parses_decimals_exactly():
         as_grade("x")
 
 
+def test_fuzzy_subset_from_list_keeps_a_tuple(ex34):
+    grades = [F(1, 2), F(3, 5), F(3, 5)]
+    mu = FuzzySubset(ex34.structure, grades)
+    assert mu == ex34.fuzzy["mu"] and hash(mu) == hash(ex34.fuzzy["mu"])
+    grades[0] = 2  # the validated subset does not follow its source list
+    assert mu.grades == (F(1, 2), F(3, 5), F(3, 5))
+
+
 def test_point_satisfies_named_point(ex46):
     mu = ex46.fuzzy["mu"]
     a = ex46.structure.element_index["a"]

@@ -177,11 +177,10 @@ def test_enumerate_crisp_examples(ex34, ex427):
         enumerate_crisp(ex34.structure, "prime")
 
 
-def test_enumerate_crisp_scan_cap(monkeypatch, mod12):
-    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "8")
-    with pytest.raises(CarrierTooLarge):
-        enumerate_crisp(mod12.structure, "bi_ideal")
-    monkeypatch.delenv("GSF_MAX_SUBSET_SCAN")
+def test_enumerate_crisp_scan_cap(mod12):
+    with pytest.raises(CarrierTooLarge) as exc:
+        enumerate_crisp(mod_surrogate(17).structure, "bi_ideal")
+    assert str(exc.value) == "2^17 subset scan exceeds the cap (n <= 16)"
     assert frozenset({0}) in enumerate_crisp(mod12.structure, "left_ideal")
 
 

@@ -20,7 +20,7 @@ from gsfuzz.errors import (
     IndexOutOfRange,
     OutOfRangeEntry,
 )
-from gsfuzz.search import GeneratorConfig, SplitMix64, generate_structures
+from gsfuzz.search import GeneratorConfig, SplitMix64, generate_structures, mod_surrogate
 
 EX34_CUBE = [[[0, 0, 0]], [[0, 1, 0]], [[0, 0, 2]]]
 
@@ -127,10 +127,10 @@ def test_classify_structure_degenerate():
     )
 
 
-def test_classify_structure_scan_cap(ex34, monkeypatch):
-    monkeypatch.setenv("GSF_MAX_SUBSET_SCAN", "2")
-    with pytest.raises(CarrierTooLarge):
-        classify_structure(ex34.structure)
+def test_classify_structure_scan_cap():
+    with pytest.raises(CarrierTooLarge) as exc:
+        classify_structure(mod_surrogate(17).structure)
+    assert str(exc.value) == "duo scan needs 2^17 subsets, cap is n <= 16"
 
 
 def test_homomorphism_identity_and_constant(ex34, ex427):
