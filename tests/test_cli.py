@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from hashlib import sha256
 
 import pytest
 
@@ -9,6 +10,7 @@ from gsfuzz.errors import (
     DocumentError,
     DocumentSyntaxError,
     DuplicateName,
+    GsfError,
     MissingTable,
 )
 from gsfuzz.fuzzy import IN
@@ -148,6 +150,129 @@ def test_parse_rejects_unsafe_names():
                  "elements a\ngammas g\ntable g\na\nsubset A:B a\n"):
         with pytest.raises(DocumentSyntaxError):
             parse(text)
+
+
+_HEAD = "elements a b\ngammas g\n"
+_AB = _HEAD + "table g\na a\nb b\n"
+
+# (text, error class, str(exc), exc.line): one case for every raise of the
+# reader, a short table once at a directive and once at the end of the text.
+PARSE_ERRORS = [
+    (_HEAD + "table g\na a\nfuzzy m a=1\n",
+     MissingTable, "line 5: table 'g' has 1 rows, expected 2", 5),
+    (_HEAD + "table g\na a\n\n# the end counts blank and comment lines\n",
+     MissingTable, "line 6: table 'g' has 1 rows, expected 2", 6),
+    (_HEAD + "table g\na a\na zz\n",
+     DocumentSyntaxError, "line 5: unknown element 'zz'", 5),
+    (_HEAD + "table g\na a a\n",
+     MissingTable, "line 4: table row has 3 entries, expected 2", 4),
+    ("elements a\nelements b\n", DuplicateName, "line 2: elements already declared", 2),
+    ("elements a\ngammas g\ngammas h\n", DuplicateName, "line 3: gammas already declared", 3),
+    ("elements\n", DocumentSyntaxError, "line 1: elements line needs at least one name", 1),
+    ("elements a a\n", DuplicateName, "line 1: duplicate element name", 1),
+    ("elements a\ngammas g g\n", DuplicateName, "line 2: duplicate gamma name", 2),
+    ("elements a:b\n", DocumentSyntaxError,
+     "line 1: name 'a:b' must be one token without '=', '#' or ':'", 1),
+    (_HEAD + "table\n", DocumentSyntaxError, "line 3: usage: table GAMMA", 3),
+    ("elements a\ntable g\n", DocumentSyntaxError,
+     "line 2: declare elements and gammas first", 2),
+    (_HEAD + "table h\n", DocumentSyntaxError, "line 3: unknown gamma 'h'", 3),
+    (_AB + "table g\n", DuplicateName, "line 6: table 'g' already given", 6),
+    (_AB + "fuzzy\n", DocumentSyntaxError, "line 6: usage: fuzzy NAME el=grade ...", 6),
+    (_AB + "fuzzy m=1\n", DocumentSyntaxError,
+     "line 6: name 'm=1' must be one token without '=', '#' or ':'", 6),
+    (_AB + "fuzzy m a=1\nfuzzy m b=1\n", DuplicateName, "line 7: fuzzy 'm' already given", 7),
+    (_AB + "fuzzy m zz=1\n", DocumentSyntaxError, "line 6: bad grade assignment 'zz=1'", 6),
+    (_AB + "fuzzy m a\n", DocumentSyntaxError, "line 6: bad grade assignment 'a'", 6),
+    (_AB + "fuzzy m a=1 a=0\n", DuplicateName, "line 6: element 'a' graded twice", 6),
+    (_AB + "fuzzy m a=x\n", BadRational, "line 6: not an exact rational: 'x'", 6),
+    (_AB + "fuzzy m a=1/0\n", BadRational, "line 6: not an exact rational: '1/0'", 6),
+    (_AB + "fuzzy m a=3/2\n", BadRational, "line 6: grade 3/2 outside [0,1]", 6),
+    (_AB + "subset\n", DocumentSyntaxError, "line 6: usage: subset NAME el ...", 6),
+    (_AB + "subset A:B a\n", DocumentSyntaxError,
+     "line 6: name 'A:B' must be one token without '=', '#' or ':'", 6),
+    (_AB + "subset A a\nsubset A b\n", DuplicateName, "line 7: subset 'A' already given", 7),
+    (_AB + "subset A a zz\n", DocumentSyntaxError, "line 6: unknown element 'zz'", 6),
+    (_AB + "whatever a\n", DocumentSyntaxError, "line 6: unknown directive 'whatever'", 6),
+    ("gammas g\n", DocumentSyntaxError, "missing elements line", None),
+    ("elements a\n", DocumentSyntaxError, "missing gammas line", None),
+    ("elements a\ngammas g h\ntable g\na\n", MissingTable, "no table for gamma 'h'", None),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line", PARSE_ERRORS)
+def test_parse_errors_are_pinned(text, cls, message, line):
+    with pytest.raises(DocumentError) as exc:
+        parse(text)
+    assert (type(exc.value), str(exc.value), exc.value.line) == (cls, message, line)
+
+
+# Tokens and lines a mutation may put in: directive words, names, malformed
+# grades and names the line format cannot carry.
+_MUTANT_TOKENS = ("elements", "gammas", "table", "fuzzy", "subset", "map", "zz", "h",
+                  "=", "a:b", "e=1", "a=1/2", "b=0.25", "e=3/2", "a=x", "b=1/0", "e=")
+_MUTANT_LINES = ("", "# comment", "table g", "gammas h", "fuzzy nu", "subset B e")
+# sha256 of the outcomes below, frozen from the first recorded run
+MUTATION_SHA256 = "a3a2400aef0e9f912ab4062aa05a219144161c34370081b659ce138b42dab740"
+
+
+def _mutate(rng: SplitMix64, lines: list, tokens: tuple) -> None:
+    """Delete, duplicate, replace or insert one line (op < 4) or one token."""
+    op, i = rng.below(8), rng.below(len(lines))
+    if op < 4:
+        pool = lines + list(_MUTANT_LINES)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            lines[i] = pool[rng.below(len(pool))]
+        else:
+            lines.insert(i + rng.below(2), pool[rng.below(len(pool))])
+        return
+    words = lines[i].split()
+    j = rng.below(len(words) + 1)
+    if op == 4:
+        del words[j:j + 1]
+    elif op == 5:
+        words[j:j] = words[j:j + 1]
+    elif op == 6:
+        words[j:j + 1] = [tokens[rng.below(len(tokens))]]
+    else:
+        words.insert(j, tokens[rng.below(len(tokens))])
+    lines[i] = " ".join(words)
+
+
+def _outcome(text: str) -> tuple:
+    """(kind, detail): the parse error, or the document and its structure check."""
+    try:
+        doc = parse(text)
+    except DocumentError as exc:
+        return type(exc).__name__, f"{exc.line} {exc}"
+    try:
+        doc.to_structure()
+        built = "valid"
+    except GsfError as exc:
+        built = f"{type(exc).__name__}: {exc}"
+    return "parsed", f"{doc!r} {built}"
+
+
+def test_parse_outcomes_of_mutated_documents_are_pinned():
+    rng = SplitMix64(12)
+    texts = [EX34_TEXT] + [print_document(document_for(f.structure, f.fuzzy))
+                           for f in fixtures()]
+    outcomes = []
+    for text in texts:
+        tokens = _MUTANT_TOKENS + tuple(sorted(set(text.split())))
+        for _ in range(600):
+            lines = text.splitlines()
+            for _ in range(1 + rng.below(3)):
+                _mutate(rng, lines, tokens)
+            outcomes.append(_outcome("\n".join(lines) + "\n"))
+    assert {kind for kind, _ in outcomes} == {
+        "parsed", "DocumentSyntaxError", "MissingTable", "DuplicateName", "BadRational"}
+    digest = sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_SHA256
 
 
 def _run(capsys, argv):
