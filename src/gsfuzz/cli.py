@@ -106,49 +106,39 @@ def _check_names(names, line_no: int | None = None) -> None:
             )
 
 
+_DIRECTIVES = ("elements", "gammas", "table", "fuzzy", "subset")
+
+
+def _table_rows(doc: StructureDocument, gamma: str, lines, last_line: int) -> list:
+    """Read the n rows of ``table gamma`` from the (line number, tokens) iterator."""
+    n = len(doc.elements)
+    rows: list = []
+    for line_no, tokens in lines:
+        if len(tokens) == n and all(name in doc.elements for name in tokens):
+            rows.append(tokens)
+            if len(rows) == n:
+                return rows
+            continue
+        if tokens[0] in _DIRECTIVES:  # a directive that is no row: the table is short
+            last_line = line_no
+            break
+        if len(tokens) == n:
+            unknown = next(name for name in tokens if name not in doc.elements)
+            raise DocumentSyntaxError(f"unknown element {unknown!r}", line_no)
+        raise MissingTable(f"table row has {len(tokens)} entries, expected {n}", line_no)
+    raise MissingTable(f"table {gamma!r} has {len(rows)} rows, expected {n}", last_line)
+
+
 def parse(text: str) -> StructureDocument:
     """Parse a structure document; errors carry the offending line number."""
     doc = StructureDocument()
-    pending_table: str | None = None
-    pending_rows: list = []
-
-    def close_table(line_no: int) -> None:
-        nonlocal pending_table, pending_rows
-        if pending_table is None:
-            return
-        if len(pending_rows) != len(doc.elements):
-            raise MissingTable(
-                f"table {pending_table!r} has {len(pending_rows)} rows, "
-                f"expected {len(doc.elements)}",
-                line_no,
-            )
-        doc.tables[pending_table] = [list(r) for r in pending_rows]
-        pending_table, pending_rows = None, []
-
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    raw_lines = text.splitlines()
+    split = (
+        (line_no, raw.split("#", 1)[0].split()) for line_no, raw in enumerate(raw_lines, start=1)
+    )
+    lines = ((line_no, tokens) for line_no, tokens in split if tokens)
+    for line_no, tokens in lines:
         head = tokens[0]
-
-        if pending_table is not None:
-            unknown = [name for name in tokens if name not in doc.elements]
-            if len(tokens) == len(doc.elements) and not unknown:
-                pending_rows.append(tokens)
-                if len(pending_rows) == len(doc.elements):
-                    close_table(line_no)
-                continue
-            if head in ("elements", "gammas", "table", "fuzzy", "subset"):
-                close_table(line_no)  # a directive that is no row: the table is short
-            if unknown and len(tokens) == len(doc.elements):
-                raise DocumentSyntaxError(f"unknown element {unknown[0]!r}", line_no)
-            raise MissingTable(
-                f"table row has {len(tokens)} entries, expected {len(doc.elements)}",
-                line_no,
-            )
-
         if head in ("elements", "gammas"):
             if getattr(doc, head):
                 raise DuplicateName(f"{head} already declared", line_no)
@@ -167,8 +157,7 @@ def parse(text: str) -> StructureDocument:
                 raise DocumentSyntaxError(f"unknown gamma {tokens[1]!r}", line_no)
             if tokens[1] in doc.tables:
                 raise DuplicateName(f"table {tokens[1]!r} already given", line_no)
-            pending_table = tokens[1]
-            pending_rows = []
+            doc.tables[tokens[1]] = _table_rows(doc, tokens[1], lines, len(raw_lines))
         elif head == "fuzzy":
             if len(tokens) < 2:
                 raise DocumentSyntaxError("usage: fuzzy NAME el=grade ...", line_no)
@@ -199,7 +188,6 @@ def parse(text: str) -> StructureDocument:
         else:
             raise DocumentSyntaxError(f"unknown directive {head!r}", line_no)
 
-    close_table(len(lines))
     if not doc.elements:
         raise DocumentSyntaxError("missing elements line")
     if not doc.gammas:
