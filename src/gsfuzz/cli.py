@@ -347,9 +347,10 @@ def _cmd_enumerate(args) -> tuple[int, list]:
 
 
 def _cmd_search(args) -> tuple[int, list]:
-    config = GeneratorConfig(
-        n=args.n, k=args.k, seed=args.seed, grid=args.grid, count=args.count
-    )
+    count = args.count
+    if count is None:  # the whole exhaustive corpus, or 20 random structures
+        count = 0 if args.exhaustive else 20
+    config = GeneratorConfig(n=args.n, k=args.k, seed=args.seed, grid=args.grid, count=count)
     structures = generate_structures(config, exhaustive=args.exhaustive)
     result = find_witness(structures, args.want, args.grid)
     out = [
@@ -431,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--grid", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=int)
     p.add_argument("--exhaustive", action="store_true")
 
     p = sub.add_parser("fixtures", help="list or export the built-in fixtures")

@@ -432,6 +432,12 @@ def test_cli_search(capsys):
     assert "found:" in out and "structures_scanned:" in out
 
 
+def test_cli_exhaustive_search_scans_the_whole_corpus(capsys):
+    code, out = _run(capsys, ["search", "--want", "fuzzy_subsemigroup AND NOT eq_subsemigroup",
+                              "--n", "3", "--exhaustive", "--grid", "1"])
+    assert code == 0 and "structures_scanned: 113\n" in out
+
+
 def test_cli_fixtures_flow(tmp_path, capsys):
     code, out = _run(capsys, ["fixtures", "list"])
     assert code == 0 and "fixture: ex3.4" in out
