@@ -241,17 +241,14 @@ def report_regularity_characterization(
 
 
 def report_regular_intra_characterization(
-    s: GammaSemigroup,
-    fuzzy_samples: Sequence[FuzzySubset] = (),
-    pairs: Iterable[tuple[FuzzySubset, FuzzySubset]] | None = None,
+    s: GammaSemigroup, fuzzy_samples: Sequence[FuzzySubset] = ()
 ) -> TheoremReport:
     """thm4.29: regular and intra-regular iff (2) iff (3).
 
     (2) mu o05 mu = mu meet 0.5_S for every sampled bi-ideal mu;
     (3) mu cap05 nu = (mu o05 nu) cap05 (nu o05 mu) for the sampled pairs.
     Characteristic bi-ideals are always included (all pairs of them), which
-    carries the converse; supplied samples are paired consecutively unless
-    explicit pairs are given.
+    carries the converse; supplied samples are paired consecutively.
     """
     samples = _vet_samples(s, fuzzy_samples)
     chars = _characteristic_bi_ideals(s)
@@ -261,10 +258,8 @@ def report_regular_intra_characterization(
         for g, base in [_scaled(mu) for mu in samples] + chars
     )
 
-    pair_list = [(p, q, 2) for p, _ in chars for q, _ in chars] if pairs is None else []
-    for mu, nu in zip(samples, samples[1:]) if pairs is None else pairs:
-        if mu.structure != s:
-            raise StructureMismatch("pair does not live over the structure")
+    pair_list = [(p, q, 2) for p, _ in chars for q, _ in chars]
+    for mu, nu in zip(samples, samples[1:]):
         a, b, base = _scaled_pair(mu, nu)
         pair_list.append((a, b, base // 2))
     pairs_ok = all(

@@ -418,11 +418,10 @@ def report_flags_by_definition(theorem_id: str, *args) -> tuple:
     crisp and (alpha, beta) predicates by the scans above.
 
     args are the report's: mu for thm3.2 to thm4.26; the structure and the
-    fuzzy bi-ideal samples for thm4.28; those and the explicit pairs (or
-    None) for thm4.29.
+    fuzzy bi-ideal samples for thm4.28 and thm4.29.
     """
     if theorem_id in ("thm4.28", "thm4.29"):
-        s, samples, *rest = args
+        s, samples = args
         samples = list(samples)
         chars = _crisp_bi_ideals(s)
         if theorem_id == "thm4.28":
@@ -431,9 +430,7 @@ def report_flags_by_definition(theorem_id: str, *args) -> tuple:
                 all(_o05(_o05(mu, _one(s)), mu).grades == _meet05(mu, mu)
                     for mu in samples + chars),
             )
-        pairs = rest[0] if rest and rest[0] is not None else (
-            [(p, q) for p in chars for q in chars] + list(zip(samples, samples[1:]))
-        )
+        pairs = [(p, q) for p in chars for q in chars] + list(zip(samples, samples[1:]))
         return (
             regular_by_definition(s) and intra_regular_by_definition(s),
             all(_o05(mu, mu).grades == _meet05(mu, mu) for mu in samples + chars),

@@ -249,10 +249,7 @@ def test_regularity_characterization_non_regular():
 
 
 def test_samples_and_pairs_on_other_structures_rejected(ex34, ex427):
-    s, mu, other = ex427.structure, ex427.fuzzy["mu"], ex34.fuzzy["mu"]
-    for pair in ((mu, other), (other, other)):
-        with pytest.raises(StructureMismatch):
-            report_regular_intra_characterization(s, pairs=[pair])
+    s, other = ex427.structure, ex34.fuzzy["mu"]
     for report in (report_regularity_characterization, report_regular_intra_characterization):
         with pytest.raises(StructureMismatch):
             report(s, [other])
@@ -296,13 +293,9 @@ def test_reports_match_fraction_definitions():
             bis = [[mu for mu in _draws(s, grid, seed + 1, 8) if is_eq_bi_ideal(mu).holds]
                    for grid in (TENTHS, MIXED)]
             samples = [mu for pair in zip(*bis) for mu in pair]
-            pairs = list(zip(tenths, mixed)) + list(zip(mixed, tenths))
             runs = (
                 ("thm4.28", report_regularity_characterization(s, samples), (s, samples)),
-                ("thm4.29", report_regular_intra_characterization(s, samples),
-                 (s, samples, None)),
-                ("thm4.29", report_regular_intra_characterization(s, samples, pairs),
-                 (s, samples, pairs)),
+                ("thm4.29", report_regular_intra_characterization(s, samples), (s, samples)),
             )
             for theorem_id, rep, args in runs:
                 assert rep.condition_flags == report_flags_by_definition(theorem_id, *args), (
@@ -311,4 +304,3 @@ def test_reports_match_fraction_definitions():
     # every report was seen both holding and failing
     for theorem_id in [*MU_REPORTS, "thm4.28", "thm4.29"]:
         assert {all(f) for t, f in seen if t == theorem_id} == {True, False}, theorem_id
-    assert ("thm4.29", (True, True, False)) in seen  # an explicit pair failing (3)
