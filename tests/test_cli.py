@@ -527,6 +527,29 @@ pred: ab-subsemigroup:in,in
 holds: false
 witness: x=a y=b gamma=g t=3/5 r=3/5
 """,
+    ("check", "ex34nu", "--fuzzy", "nu", "--pred", "eq-bi-ideal"): """\
+file: FILE
+fuzzy: nu
+pred: eq-bi-ideal
+holds: false
+witness: x=b y=e z=b gamma=g delta=g
+""",
+    ("check", "ex34nu", "--fuzzy", "nu", "--pred", "ab-bi-ideal:in,invq"): """\
+file: FILE
+fuzzy: nu
+pred: ab-bi-ideal:in,invq
+holds: false
+witness: x=b y=e z=b gamma=g delta=g t=1/4 r=1/4
+""",
+    ("search", "--want", "eq_subsemigroup AND NOT eq_bi_ideal", "--n", "3", "--exhaustive",
+     "--grid", "2"): """\
+want: eq_subsemigroup AND NOT eq_bi_ideal
+structures_scanned: 3
+subsets_scanned: 53
+found: true
+cayley g0: 000/000/002
+mu: 0 0 1/2
+""",
     ("fixtures", "list"): """\
 fixture: ex3.4
 fixture: ex4.6
@@ -550,6 +573,7 @@ fuzzy mu a=4/5 b=7/10 c=3/10 d=1/2 e=3/5
 def test_cli_output_is_pinned(tmp_path, capsys, ex46):
     paths = {
         "ex34": _write(tmp_path, "ex34.gsf", EX34_TEXT),
+        "ex34nu": _write(tmp_path, "ex34nu.gsf", EX34_TEXT + "fuzzy nu b=1/2\n"),
         "ex46": _write(tmp_path, "ex46.gsf",
                        print_document(document_for(ex46.structure, ex46.fuzzy))),
     }

@@ -77,11 +77,15 @@ def test_point_satisfies_via_q_only(ex34):
     assert point_satisfies(p, mu, IN_OR_Q)
     assert not point_satisfies(p, mu, IN_AND_Q)
     assert point_satisfies(p, mu, PointRelation.parse("not-in"))
+    with pytest.raises(ValueError, match="unknown relation token 'zz'"):
+        PointRelation.parse("zz")
 
 
 def test_point_satisfies_unknown_element(ex34):
     with pytest.raises(UnknownElement):
         point_satisfies(FuzzyPoint(9, HALF), ex34.fuzzy["mu"], IN)
+    with pytest.raises(UnknownElement, match="unknown element 'zz'"):
+        ex34.fuzzy["mu"].grade_of("zz")
 
 
 def test_level_sets_examples(ex34, ex46):

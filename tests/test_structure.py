@@ -15,6 +15,7 @@ from gsfuzz.errors import (
     CarrierTooLarge,
     DuplicateName,
     EmptyCarrier,
+    EmptyGammaSet,
     GammaMismatch,
     HomomorphismViolation,
     IndexOutOfRange,
@@ -60,8 +61,12 @@ def test_validate_rejects_bool_cells():
 def test_validate_rejects_empty_and_duplicates():
     with pytest.raises(EmptyCarrier):
         validate_structure([], ["g"], [])
+    with pytest.raises(EmptyGammaSet):
+        validate_structure(["a"], [], [[]])
     with pytest.raises(DuplicateName):
         validate_structure(["a", "a"], ["g"], [[[0, 0]], [[0, 0]]])
+    with pytest.raises(DuplicateName, match="duplicate gamma identifier"):
+        validate_structure(["a"], ["g", "g"], [[[0], [0]]])
     with pytest.raises(ValueError):
         validate_structure(["a", "b"], ["g"], [[[0, 0]]])
 

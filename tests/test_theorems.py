@@ -117,6 +117,8 @@ def test_product_characterization(ex34, ex427):
     assert report_product_characterization(chi_e, "subsemigroup").theorem_id == "thm4.25"
     with pytest.raises(EmptyFuzzySubset):
         report_product_characterization(constant(ex34.structure, 0), "subsemigroup")
+    with pytest.raises(ValueError, match="kind must be"):
+        report_product_characterization(mu3, "x")
 
 
 def test_image_preimage_examples(ex427):
@@ -140,6 +142,8 @@ def test_image_structure_mismatch(ex34, ex427):
         image(const, ex34.fuzzy["mu"])
     with pytest.raises(StructureMismatch):
         preimage(const, ex34.fuzzy["mu"])
+    with pytest.raises(StructureMismatch):
+        is_f_invariant(ex34.fuzzy["mu"], const)
 
 
 def test_f_invariance(ex427):
