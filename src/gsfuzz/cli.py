@@ -12,10 +12,13 @@ File format (UTF-8, line oriented, '#' starts a comment):
     subset A e a
 
 Row i, column j of the block under ``table g`` is the product
-(element_i g element_j); while a table is open every line is one of its rows,
-so an element may be named like a directive.  Names are single tokens
+(element_i g element_j).  A table's rows are its next n non-blank lines, n
+the number of elements, so an element may be named like a directive; a
+directive line before the n-th row is a short table.  Names are single tokens
 without '=', '#' or ':'.  Grades accept p/q or decimal literals, both parsed
 exactly; fuzzy lines may omit elements, which default to grade 0.
+
+``gsf search --count`` defaults to 20 random structures, or all with --exhaustive.
 
 Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
 all-zero fuzzy subset and a hit subset-scan cap or sampling budget
