@@ -38,6 +38,11 @@ FUZZ_EX34_SEED7 = [
 EXHAUSTIVE_SHA256 = {
     (2, 2): "2824fb3b14dc7b75", (3, 1): "d3d712cc3778ee12", (3, 2): "c60d064ce5db4a12",
 }
+# sha256 of repr(list(stream)): names, their tuple types and the cubes
+EXHAUSTIVE_FULL_SHA256 = {
+    (2, 2): "1df667b930a94729", (3, 1): "9fbe00e1978b9fa0", (3, 2): "6927b294174e59d1",
+}
+GEN_N2_K2_SEED9 = ["01010101", "11011111", "01101001", "10100101", "10100101", "10010110"]
 SPLITMIX_SEED0 = [
     16294208416658607535, 7960286522194355700, 487617019471545679,
 ]
@@ -74,8 +79,11 @@ def test_mod_surrogate_sizes():
 
 
 def test_exhaustive_counts():
+    def stream(n, k):
+        return list(generate_structures(GeneratorConfig(n=n, k=k), exhaustive=True))
+
     def cubes(n, k):
-        return [s.cayley for s in generate_structures(GeneratorConfig(n=n, k=k), exhaustive=True)]
+        return [s.cayley for s in stream(n, k)]
 
     def count(n, k):
         return len(cubes(n, k))
@@ -89,6 +97,8 @@ def test_exhaustive_counts():
     # the emission order is pinned too: callers take prefixes of these streams
     for (n, k), prefix in EXHAUSTIVE_SHA256.items():
         assert sha256(repr(cubes(n, k)).encode()).hexdigest().startswith(prefix), (n, k)
+    for (n, k), prefix in EXHAUSTIVE_FULL_SHA256.items():
+        assert sha256(repr(stream(n, k)).encode()).hexdigest().startswith(prefix), (n, k)
     with pytest.raises(CarrierTooLarge):
         next(generate_structures(GeneratorConfig(n=4, k=1), exhaustive=True))
 
@@ -96,6 +106,8 @@ def test_exhaustive_counts():
 def test_exhaustive_count_cap():
     got = list(generate_structures(GeneratorConfig(n=3, k=1, count=5), exhaustive=True))
     assert len(got) == 5
+    for s in got:
+        assert validate_structure(s.elements, s.gammas, s.cayley) == s
 
 
 def test_generate_structures_deterministic():
@@ -106,13 +118,16 @@ def test_generate_structures_deterministic():
 
 
 def test_generate_structures_all_valid():
-    for s in generate_structures(GeneratorConfig(n=2, k=2, seed=9, count=6)):
-        validate_structure(s.elements, s.gammas, s.cayley)
+    got = list(generate_structures(GeneratorConfig(n=2, k=2, seed=9, count=6)))
+    assert [_cube_digits(s) for s in got] == GEN_N2_K2_SEED9
+    for s in got:
+        assert validate_structure(s.elements, s.gammas, s.cayley) == s
 
 
 def test_generate_structures_budget():
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as exc:
         list(generate_structures(GeneratorConfig(n=3, k=1, seed=1, count=5), budget=20))
+    assert str(exc.value) == "20 rejection attempts produced 0/5"
 
 
 def test_random_fuzzy_deterministic(ex34):
@@ -198,6 +213,22 @@ def test_parse_want_grammar():
         parse_want("(eq_subsemigroup")
     with pytest.raises(UnknownPredicateName):
         parse_want("eq_subsemigroup extra")
+    for text, message in (
+        ("", "unexpected end of expression"),
+        ("NOT", "unexpected end of expression"),
+        ("eq_subsemigroup AND", "unexpected end of expression"),
+        ("(eq_subsemigroup", "missing closing parenthesis"),
+        ("(eq_subsemigroup eq_bi_ideal)", "missing closing parenthesis"),
+        ("eq_subsemigroup )", "trailing token ')'"),
+        ("no_such", "unknown predicate name 'no_such'"),
+    ):
+        with pytest.raises(UnknownPredicateName) as exc:
+            parse_want(text)
+        assert str(exc.value) == message, text
+    # keywords are case-blind, and AND binds tighter than OR
+    tree = parse_want("eq_subsemigroup and not fuzzy_subsemigroup or eq_bi_ideal")
+    assert tree.kind == "or" and [p.kind for p in tree.parts] == ["and", "atom"]
+    assert [p.kind for p in tree.parts[0].parts] == ["atom", "not"]
 
 
 def test_find_witness_eq_not_fuzzy(ex34):
