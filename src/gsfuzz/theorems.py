@@ -67,7 +67,7 @@ def _report(theorem_id: str, flags: Sequence[bool], detail: str) -> TheoremRepor
     flags = tuple(flags)
     if all(flags) or not any(flags):
         return TheoremReport(theorem_id, flags, True)
-    minority = False if sum(flags) * 2 > len(flags) else True
+    minority = sum(flags) * 2 <= len(flags)
     indices = tuple(i for i, f in enumerate(flags) if f is minority)
     return TheoremReport(theorem_id, flags, False, (indices, detail))
 

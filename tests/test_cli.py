@@ -15,6 +15,7 @@ from gsfuzz.errors import (
 )
 from gsfuzz.fuzzy import IN
 from gsfuzz.search import SplitMix64, fixtures, mod_surrogate
+from gsfuzz.theorems import _report
 
 EX34_TEXT = """\
 # three-element carrier, single operation
@@ -398,13 +399,22 @@ def test_cli_caps_are_usage_errors(tmp_path, capsys):
     assert code == 2 and out.startswith("error: CarrierTooLarge: ")
 
 
-def test_cli_theorems(tmp_path, capsys):
+def test_cli_theorems(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
     code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu", "--samples", "10"])
     assert code == 0
     for tid in ("thm3.2", "thm3.5", "thm4.23", "thm4.24", "thm4.25", "thm4.26",
                 "thm4.28", "thm4.29"):
         assert f"{tid}: agree" in out
+    # a report whose flags disagree fails the command and prints its discrepancy
+    monkeypatch.setattr(
+        "gsfuzz.cli.report_regular_intra_characterization",
+        lambda s, samples: _report("thm4.29", (True, True, False), f"n={s.n} k={s.k}"),
+    )
+    code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu", "--samples", "10"])
+    assert code == 1
+    assert "thm4.29: DISAGREE\n" in out
+    assert "thm4.29 discrepancy: (2,) n=3 k=1\n" in out
 
 
 def test_cli_theorems_bad_grid_or_samples_is_usage_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ from gsfuzz.errors import EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
 from gsfuzz.fuzzy import HALF
 from gsfuzz.search import GeneratorConfig, SplitMix64, random_fuzzy, sample_eq_bi_ideals
 from gsfuzz.structure import classify_structure, classify_subset, enumerate_homomorphisms
-from gsfuzz.theorems import TheoremReport
+from gsfuzz.theorems import TheoremReport, _report
 
 from corpus import exhaustive
 from oracles import report_flags_by_definition, thresholds_by_definition
@@ -70,6 +70,14 @@ def test_report_invariant_shape():
         TheoremReport("x", (True, False), True)
     with pytest.raises(ValueError):
         TheoremReport("x", (True, True), True, ((0,), "detail"))
+    # a disagreement names the minority flags; a tie names the true ones
+    for flags, indices in (
+        ((True, True, True, False, False), (3, 4)),
+        ((True, False), (0,)),
+        ((True, True, False), (2,)),
+    ):
+        rep = _report("x", flags, "detail")
+        assert not rep.agree and rep.discrepancy == (indices, "detail"), flags
 
 
 def test_subsemigroup_equivalences_examples(ex34):
