@@ -40,7 +40,6 @@ from .predicates import (
 from .search import (
     Fixture,
     GeneratorConfig,
-    enumerate_crisp,
     find_witness,
     fixtures,
     generate_structures,
@@ -53,6 +52,7 @@ from .structure import (
     Homomorphism,
     classify_structure,
     classify_subset,
+    enumerate_crisp,
     enumerate_homomorphisms,
     gamma_product,
     validate_homomorphism,

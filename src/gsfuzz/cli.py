@@ -49,13 +49,18 @@ from .fuzzy import FuzzySubset, as_grade
 from .predicates import PredicateVerdict, Witness, check_by_name
 from .search import (
     GeneratorConfig,
-    enumerate_crisp,
     find_witness,
     fixtures,
     generate_structures,
     sample_eq_bi_ideals,
 )
-from .structure import GammaSemigroup, classify_structure, classify_subset, validate_structure
+from .structure import (
+    GammaSemigroup,
+    classify_structure,
+    classify_subset,
+    enumerate_crisp,
+    validate_structure,
+)
 from .theorems import (
     report_bi_ideal_equivalences,
     report_level_characterization,

@@ -1,10 +1,12 @@
-"""Structure/fuzzy-subset generation, crisp enumeration, and witness search.
+"""Built-in fixtures, structure and fuzzy-subset generation, and witness search.
 
 Pseudo-random generation uses SplitMix64 (Steele-Lea-Flood mixing, 64-bit),
 implemented here so that every seeded stream is bit-identical across
-platforms and Python versions.  Scan orders are pinned: structures in
-generation order, fuzzy subsets in grid-lexicographic order over the grade
-vector, elements in declaration order.
+platforms and Python versions.  Structures come from one filter loop over
+either every cube in lexicographic order or seeded random cubes.  Scan orders
+are pinned: structures in generation order, fuzzy subsets in
+grid-lexicographic order over the grade vector, elements in declaration
+order.  Crisp subset enumeration lives in the structure module.
 """
 
 from __future__ import annotations
@@ -14,29 +16,14 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    BudgetExhausted,
-    CarrierTooLarge,
-    UnknownPredicateName,
-)
+from .errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
 from .fuzzy import FuzzySubset
 from .predicates import (
     _resolve_predicate,
     is_eq_bi_ideal,
     is_eq_subsemigroup,
 )
-from .structure import (
-    SUBSET_SCAN_LIMIT,
-    CrispSubset,
-    GammaSemigroup,
-    _assoc_failure,
-    _nonempty_subsets,
-    is_bi_ideal,
-    is_left_ideal,
-    is_right_ideal,
-    is_subsemigroup,
-    validate_structure,
-)
+from .structure import Cube, GammaSemigroup, _assoc_failure, validate_structure
 
 MASK64 = (1 << 64) - 1
 
@@ -85,20 +72,12 @@ class Fixture:
     fuzzy: dict
 
 
-def _fixture_ex34() -> Fixture:
-    s = validate_structure(
-        ["e", "a", "b"],
-        ["g"],
-        [[[0, 0, 0]], [[0, 1, 0]], [[0, 0, 2]]],
-    )
-    mu = FuzzySubset.from_mapping(s, {"e": "1/2", "a": "3/5", "b": "3/5"})
-    return Fixture("ex3.4", s, {"mu": mu})
-
-
-def _fixture_ex46() -> Fixture:
-    s = validate_structure(
-        ["a", "b", "c", "d", "e"],
-        ["g"],
+# id, elements, cube over the one gamma "g", grades of mu in element order
+_FIXTURES = (
+    ("ex3.4", ("e", "a", "b"), [[[0, 0, 0]], [[0, 1, 0]], [[0, 0, 2]]], ("1/2", "3/5", "3/5")),
+    (
+        "ex4.6",
+        ("a", "b", "c", "d", "e"),
         [
             [[0, 3, 0, 3, 3]],
             [[0, 1, 0, 3, 3]],
@@ -106,21 +85,10 @@ def _fixture_ex46() -> Fixture:
             [[0, 3, 0, 3, 3]],
             [[0, 3, 2, 3, 4]],
         ],
-    )
-    mu = FuzzySubset.from_mapping(
-        s, {"a": "4/5", "b": "7/10", "c": "3/10", "d": "1/2", "e": "3/5"}
-    )
-    return Fixture("ex4.6", s, {"mu": mu})
-
-
-def _fixture_ex427() -> Fixture:
-    s = validate_structure(
-        ["a", "b", "c"],
-        ["g"],
-        [[[0, 0, 0]], [[1, 1, 1]], [[2, 2, 2]]],
-    )
-    mu = FuzzySubset.from_mapping(s, {"a": "4/5", "b": "7/10", "c": "3/5"})
-    return Fixture("ex4.27", s, {"mu": mu})
+        ("4/5", "7/10", "3/10", "1/2", "3/5"),
+    ),
+    ("ex4.27", ("a", "b", "c"), [[[0, 0, 0]], [[1, 1, 1]], [[2, 2, 2]]], ("4/5", "7/10", "3/5")),
+)
 
 
 def mod_surrogate(n: int = 12) -> Fixture:
@@ -139,32 +107,40 @@ def mod_surrogate(n: int = 12) -> Fixture:
 
 
 def fixtures() -> list[Fixture]:
-    return [_fixture_ex34(), _fixture_ex46(), _fixture_ex427(), mod_surrogate()]
+    pool = []
+    for fid, elements, cube, grades in _FIXTURES:
+        s = validate_structure(elements, ["g"], cube)
+        mu = FuzzySubset.from_mapping(s, dict(zip(elements, grades)))
+        pool.append(Fixture(fid, s, {"mu": mu}))
+    return pool + [mod_surrogate()]
 
 
 # ------------------------------------------------------------- generation
 
-def _names(n: int, k: int) -> tuple[list[str], list[str]]:
-    return [f"e{i}" for i in range(n)], [f"g{i}" for i in range(k)]
+def _names(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(f"e{i}" for i in range(n)), tuple(f"g{i}" for i in range(k))
 
 
-def _exhaustive(config: GeneratorConfig) -> Iterator[GammaSemigroup]:
-    n, k = config.n, config.k
+def _all_cubes(n: int, k: int) -> Iterator[Cube]:
+    """Every cube whose operations are each associative, in lexicographic order."""
     if n > 3 or k > 2:
         raise CarrierTooLarge("exhaustive enumeration is limited to n <= 3, k <= 2")
-    elements, gammas = _names(n, k)
     rows = list(product(range(n), repeat=n))
     # each operation alone must be associative, so only those tables are combined
     singles = [t for t in product(rows, repeat=n) if _assoc_failure(tuple(zip(t))) is None]
-    emitted = 0
     for tabs in product(singles, repeat=k):
-        cube = tuple(zip(*tabs))
-        if _assoc_failure(cube) is not None:
-            continue
-        yield GammaSemigroup(tuple(elements), tuple(gammas), cube)
-        emitted += 1
-        if config.count and emitted >= config.count:
-            return
+        yield tuple(zip(*tabs))
+
+
+def _random_cubes(config: GeneratorConfig, budget: int) -> Iterator[Cube]:
+    """budget n x k x n cubes drawn from SplitMix64(seed), cell by cell."""
+    n, k = config.n, config.k
+    rng = SplitMix64(config.seed)
+    for _ in range(budget):
+        yield tuple(
+            tuple(tuple(rng.below(n) for _ in range(n)) for _ in range(k))
+            for _ in range(n)
+        )
 
 
 def generate_structures(
@@ -173,32 +149,24 @@ def generate_structures(
     """Stream of validated structures, deterministic for a given config.
 
     Random mode draws n x k x n cubes from SplitMix64(seed) and keeps the
-    associative ones (rejection); duplicates are possible.  Exhaustive mode
-    enumerates all cubes in lexicographic order (n <= 3, k <= 2); there
-    count = 0 means the whole corpus.
+    associative ones (rejection); duplicates are possible, and count must be
+    at least 1.  Exhaustive mode enumerates all cubes in lexicographic order
+    (n <= 3, k <= 2); there count = 0 means the whole corpus.
     """
     if exhaustive:
-        yield from _exhaustive(config)
-        return
-    n, k = config.n, config.k
-    elements, gammas = _names(n, k)
-    rng = SplitMix64(config.seed)
+        cubes = _all_cubes(config.n, config.k)
+    else:
+        cubes = _random_cubes(config, budget)
+    elements, gammas = _names(config.n, config.k)
     emitted = 0
-    attempts = 0
-    while emitted < config.count:
-        if attempts >= budget:
-            raise BudgetExhausted(
-                f"{attempts} rejection attempts produced {emitted}/{config.count}"
-            )
-        attempts += 1
-        cube = tuple(
-            tuple(tuple(rng.below(n) for _ in range(n)) for _ in range(k))
-            for _ in range(n)
-        )
-        if _assoc_failure(cube) is not None:
-            continue
-        yield GammaSemigroup(tuple(elements), tuple(gammas), cube)
-        emitted += 1
+    for cube in cubes:
+        if _assoc_failure(cube) is None:
+            yield GammaSemigroup(elements, gammas, cube)
+            emitted += 1
+            if emitted == config.count:
+                return
+    if not exhaustive:
+        raise BudgetExhausted(f"{budget} rejection attempts produced {emitted}/{config.count}")
 
 
 def grid_subsets(structure: GammaSemigroup, grid: int) -> Iterator[FuzzySubset]:
@@ -238,28 +206,6 @@ def sample_eq_bi_ideals(
     draws = islice(_grid_draws(structure.n, grid, seed), 400 * max(count, 1))
     subsets = (FuzzySubset(structure, vec) for vec in draws if any(vec))
     return list(islice((mu for mu in subsets if is_eq_bi_ideal(mu).holds), count))
-
-
-# ------------------------------------------------------------ enumeration
-
-_CRISP_KINDS: dict[str, Callable] = {
-    "subsemigroup": is_subsemigroup,
-    "left_ideal": is_left_ideal,
-    "right_ideal": is_right_ideal,
-    "bi_ideal": is_bi_ideal,
-}
-
-
-def enumerate_crisp(structure: GammaSemigroup, kind: str) -> list[CrispSubset]:
-    """All non-empty subsets of the requested kind, ascending by bitmask."""
-    check = _CRISP_KINDS.get(kind)
-    if check is None:
-        raise ValueError(f"kind must be one of {sorted(_CRISP_KINDS)}")
-    if structure.n > SUBSET_SCAN_LIMIT:
-        raise CarrierTooLarge(
-            f"2^{structure.n} subset scan exceeds the cap (n <= {SUBSET_SCAN_LIMIT})"
-        )
-    return [a for a in _nonempty_subsets(structure.n) if check(structure, a)]
 
 
 # ---------------------------------------------------------- witness search
@@ -302,53 +248,36 @@ class _Expr:
 def parse_want(text: str) -> _Expr:
     """Grammar: expr := term (OR term)*; term := fact (AND fact)*;
     fact := NOT fact | ( expr ) | NAME."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
 
     def fact() -> _Expr:
-        tok = peek()
-        if tok is None:
+        if not tokens:
             raise UnknownPredicateName("unexpected end of expression")
+        tok = tokens.pop()
         if tok.upper() == "NOT":
-            take()
             return _Expr("not", fact())
         if tok == "(":
-            take()
             e = expr()
-            if peek() != ")":
+            if not tokens or tokens.pop() != ")":
                 raise UnknownPredicateName("missing closing parenthesis")
-            take()
             return e
-        name = take()
-        pair = _pair_decider(name)
-        return _Expr("atom", name, pair or _resolve_predicate(name), pair is not None)
+        pair = _pair_decider(tok)
+        return _Expr("atom", tok, pair or _resolve_predicate(tok), pair is not None)
 
-    def term() -> _Expr:
-        parts = [fact()]
-        while peek() and peek().upper() == "AND":
-            take()
-            parts.append(fact())
-        return parts[0] if len(parts) == 1 else _Expr("and", *parts)
+    def chain(kind: str, part: Callable[[], _Expr]) -> _Expr:
+        """part (KIND part)*, for kind "and" or "or"; the keyword is case-blind."""
+        parts = [part()]
+        while tokens and tokens[-1].upper() == kind.upper():
+            tokens.pop()
+            parts.append(part())
+        return parts[0] if len(parts) == 1 else _Expr(kind, *parts)
 
     def expr() -> _Expr:
-        parts = [term()]
-        while peek() and peek().upper() == "OR":
-            take()
-            parts.append(term())
-        return parts[0] if len(parts) == 1 else _Expr("or", *parts)
+        return chain("or", lambda: chain("and", fact))
 
     out = expr()
-    if peek() is not None:
-        raise UnknownPredicateName(f"trailing token {peek()!r}")
+    if tokens:
+        raise UnknownPredicateName(f"trailing token {tokens[-1]!r}")
     return out
 
 
@@ -359,10 +288,6 @@ class WitnessSearch:
     subsets: tuple[FuzzySubset, ...]
     structures_scanned: int
     subsets_scanned: int
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.found
 
 
 def find_witness(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AssociativityViolation,
@@ -233,6 +233,26 @@ def is_intra_regular(s: GammaSemigroup) -> bool:
 def _nonempty_subsets(n: int) -> Iterator[CrispSubset]:
     for mask in range(1, 1 << n):
         yield frozenset(i for i in range(n) if mask >> i & 1)
+
+
+_CRISP_KINDS: dict[str, Callable] = {
+    "subsemigroup": is_subsemigroup,
+    "left_ideal": is_left_ideal,
+    "right_ideal": is_right_ideal,
+    "bi_ideal": is_bi_ideal,
+}
+
+
+def enumerate_crisp(structure: GammaSemigroup, kind: str) -> list[CrispSubset]:
+    """All non-empty subsets of the requested kind, ascending by bitmask."""
+    check = _CRISP_KINDS.get(kind)
+    if check is None:
+        raise ValueError(f"kind must be one of {sorted(_CRISP_KINDS)}")
+    if structure.n > SUBSET_SCAN_LIMIT:
+        raise CarrierTooLarge(
+            f"2^{structure.n} subset scan exceeds the cap (n <= {SUBSET_SCAN_LIMIT})"
+        )
+    return [a for a in _nonempty_subsets(structure.n) if check(structure, a)]
 
 
 def classify_structure(s: GammaSemigroup) -> StructureClassification:

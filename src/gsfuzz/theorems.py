@@ -35,10 +35,10 @@ from .predicates import (
     is_eq_bi_ideal,
     is_eq_subsemigroup,
 )
-from .search import enumerate_crisp
 from .structure import (
     GammaSemigroup,
     Homomorphism,
+    enumerate_crisp,
     is_bi_ideal,
     is_intra_regular,
     is_regular,
