@@ -18,7 +18,8 @@ directive line before the n-th row is a short table.  Names are single tokens
 without '=', '#' or ':'.  Grades accept p/q or decimal literals, both parsed
 exactly; fuzzy lines may omit elements, which default to grade 0.
 
-``gsf search --count`` defaults to 20 random structures, or all with --exhaustive.
+``gsf search --count`` defaults to 20 random structures, or all with --exhaustive;
+--count 0 also means all, so it needs --exhaustive.
 
 Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
 all-zero fuzzy subset and a hit subset-scan cap or sampling budget

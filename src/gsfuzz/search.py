@@ -155,6 +155,8 @@ def generate_structures(
     """
     if exhaustive:
         cubes = _all_cubes(config.n, config.k)
+    elif config.count < 1:
+        raise ValueError("random generation needs count >= 1")
     else:
         cubes = _random_cubes(config, budget)
     elements, gammas = _names(config.n, config.k)

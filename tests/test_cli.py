@@ -440,6 +440,9 @@ def test_cli_search(capsys):
     ])
     assert code == 0
     assert "found:" in out and "structures_scanned:" in out
+    # only the exhaustive corpus has a whole to scan, so random mode needs a count
+    code, out = _run(capsys, ["search", "--want", "eq_subsemigroup", "--n", "3", "--count", "0"])
+    assert code == 2 and out == "error: random generation needs count >= 1\n"
 
 
 def test_cli_exhaustive_search_scans_the_whole_corpus(capsys):

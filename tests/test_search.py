@@ -276,6 +276,9 @@ def test_generator_config_validation():
         GeneratorConfig(n=0, k=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n=1, k=1, count=-1)
+    stream = generate_structures(GeneratorConfig(n=1, k=1))
+    with pytest.raises(ValueError, match="random generation needs count >= 1"):
+        next(stream)
 
 
 HUNTS = (
