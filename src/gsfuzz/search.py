@@ -6,7 +6,7 @@ platforms and Python versions.  Structures come from one filter loop over
 either every cube in lexicographic order or seeded random cubes.  Scan orders
 are pinned: structures in generation order, fuzzy subsets in
 grid-lexicographic order over the grade vector, elements in declaration
-order.  Crisp subset enumeration lives in the structure module.
+order.
 """
 
 from __future__ import annotations
