@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -478,6 +482,22 @@ def test_cli_fixtures_operands_are_usage_errors(tmp_path, capsys):
         assert captured.out == "", argv
         assert f"unrecognized arguments: {extra}" in captured.err, argv
     assert not (tmp_path / "extra.gsf").exists()
+
+
+def test_python_m_gsfuzz_runs_main(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def gsf(*argv):
+        done = subprocess.run([sys.executable, "-m", "gsfuzz", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout
+
+    code, out = gsf("fixtures", "list")
+    assert (code, out.splitlines()) == (0, [f"fixture: {f.id}" for f in fixtures()])
+    assert len(out.splitlines()) == 4
+    assert gsf("validate", "no-such.gsf") == (
+        2, "error: [Errno 2] No such file or directory: 'no-such.gsf'\n"
+    )
 
 
 # Full stdout of each command, FILE standing for the structure file's path.

@@ -86,6 +86,10 @@ def test_point_satisfies_unknown_element(ex34):
         point_satisfies(FuzzyPoint(9, HALF), ex34.fuzzy["mu"], IN)
     with pytest.raises(UnknownElement, match="unknown element 'zz'"):
         ex34.fuzzy["mu"].grade_of("zz")
+    for value in (F(0), F(3, 2)):
+        with pytest.raises(InvalidGrade) as exc:
+            FuzzyPoint(0, value)
+        assert str(exc.value) == f"point value {value} outside (0,1]"
 
 
 def test_level_sets_examples(ex34, ex46):

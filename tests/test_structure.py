@@ -1,7 +1,9 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from corpus import exhaustive
 from gsfuzz import (
     classify_structure,
     classify_subset,
@@ -122,6 +124,18 @@ def test_classify_structure_fixtures(ex34, ex46, ex427):
     f427 = classify_structure(ex427.structure)
     assert (f427.regular, f427.intra_regular) == (True, True)
     assert (f427.left_duo, f427.right_duo, f427.duo) == (True, False, False)
+    # rectangular band L2 x R2, x g y = 2 (x div 2) + (y mod 2): both one-sided
+    # flags fail, so the duo scan may stop before the last subset
+    cube = [[[0, 1, 0, 1]], [[0, 1, 0, 1]], [[2, 3, 2, 3]], [[2, 3, 2, 3]]]
+    band = validate_structure(["a", "b", "c", "d"], ["g"], cube)
+    fb = classify_structure(band)
+    assert (fb.regular, fb.intra_regular) == (True, True)
+    assert (fb.left_duo, fb.right_duo, fb.duo) == (False, False, False)
+    # (left_duo, right_duo) over the exhaustive n <= 3, k <= 2 corpus (k = 1 at n = 1)
+    corpus = [s for n, k in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)) for s in exhaustive(n, k)]
+    duo_flags = Counter((f.left_duo, f.right_duo) for f in map(classify_structure, corpus))
+    assert len(corpus) == 549
+    assert duo_flags == {(True, True): 313, (True, False): 118, (False, True): 118}
 
 
 def test_classify_structure_degenerate():
