@@ -47,7 +47,7 @@ from .errors import (
     MissingTable,
 )
 from .fuzzy import FuzzySubset, as_grade
-from .predicates import PredicateVerdict, Witness, check_by_name
+from .predicates import Witness, check_by_name
 from .search import (
     GeneratorConfig,
     find_witness,
@@ -56,6 +56,7 @@ from .search import (
     sample_eq_bi_ideals,
 )
 from .structure import (
+    _CRISP_KINDS,
     GammaSemigroup,
     classify_structure,
     classify_subset,
@@ -264,28 +265,22 @@ def _witness_line(s: GammaSemigroup, w: Witness) -> str:
     return "witness: " + " ".join(parts)
 
 
-def _emit_verdict(out: list, s: GammaSemigroup, verdict: PredicateVerdict) -> None:
-    out.append(f"holds: {_b(verdict.holds)}")
-    if verdict.witness is not None:
-        out.append(_witness_line(s, verdict.witness))
-
-
 # ------------------------------------------------------------- subcommands
 
-def _load(path: str) -> StructureDocument:
+def _load(path: str) -> tuple[StructureDocument, GammaSemigroup]:
+    """The parsed file and its validated structure."""
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        doc = parse(fh.read())
+    return doc, doc.to_structure()
 
 
 def _cmd_validate(args) -> tuple[int, list]:
-    doc = _load(args.file)
-    s = doc.to_structure()
+    _, s = _load(args.file)
     return 0, [f"file: {args.file}", "valid: true", f"elements: {s.n}", f"gammas: {s.k}"]
 
 
 def _cmd_classify(args) -> tuple[int, list]:
-    doc = _load(args.file)
-    s = doc.to_structure()
+    doc, s = _load(args.file)
     flags = classify_structure(s)
     out = [f"file: {args.file}"]
     for name in ("regular", "intra_regular", "left_duo", "right_duo", "duo"):
@@ -301,12 +296,12 @@ def _cmd_classify(args) -> tuple[int, list]:
 
 
 def _cmd_check(args) -> tuple[int, list]:
-    doc = _load(args.file)
-    s = doc.to_structure()
-    mu = doc.fuzzy_subset(s, args.fuzzy)
-    verdict = check_by_name(args.pred, mu)
-    out = [f"file: {args.file}", f"fuzzy: {args.fuzzy}", f"pred: {args.pred}"]
-    _emit_verdict(out, s, verdict)
+    doc, s = _load(args.file)
+    verdict = check_by_name(args.pred, doc.fuzzy_subset(s, args.fuzzy))
+    out = [f"file: {args.file}", f"fuzzy: {args.fuzzy}", f"pred: {args.pred}",
+           f"holds: {_b(verdict.holds)}"]
+    if verdict.witness is not None:
+        out.append(_witness_line(s, verdict.witness))
     code = 0
     if args.expect is not None:
         expected = args.expect == "true"
@@ -317,8 +312,7 @@ def _cmd_check(args) -> tuple[int, list]:
 
 
 def _cmd_theorems(args) -> tuple[int, list]:
-    doc = _load(args.file)
-    s = doc.to_structure()
+    doc, s = _load(args.file)
     mu = doc.fuzzy_subset(s, args.fuzzy)
     out = [f"file: {args.file}", f"fuzzy: {args.fuzzy}"]
     reports = [
@@ -345,8 +339,7 @@ def _cmd_theorems(args) -> tuple[int, list]:
 
 
 def _cmd_enumerate(args) -> tuple[int, list]:
-    doc = _load(args.file)
-    s = doc.to_structure()
+    _, s = _load(args.file)
     out = [f"file: {args.file}", f"kind: {args.kind}"]
     subsets = enumerate_crisp(s, args.kind)
     out.append(f"count: {len(subsets)}")
@@ -429,10 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate crisp subsets of a kind")
     p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("file")
-    p.add_argument(
-        "--kind", required=True,
-        choices=["subsemigroup", "left_ideal", "right_ideal", "bi_ideal"],
-    )
+    p.add_argument("--kind", required=True, choices=_CRISP_KINDS)
 
     p = sub.add_parser("search", help="hunt for a separating witness")
     p.set_defaults(handler=_cmd_search)

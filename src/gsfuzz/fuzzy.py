@@ -253,10 +253,7 @@ def pointwise_family(op: str, family: Sequence[FuzzySubset]) -> FuzzySubset:
 
 
 def characteristic(structure: GammaSemigroup, members: Iterable[int]) -> FuzzySubset:
-    members = frozenset(members)
-    return FuzzySubset(
-        structure, tuple(ONE if i in members else ZERO for i in range(structure.n))
-    )
+    return constant(structure, ONE, members)
 
 
 def constant(
@@ -264,12 +261,8 @@ def constant(
 ) -> FuzzySubset:
     """Grade c on the given subset (default: the whole carrier), 0 elsewhere."""
     c = as_grade(value)
-    if on is None:
-        return FuzzySubset(structure, (c,) * structure.n)
-    on = frozenset(on)
-    return FuzzySubset(
-        structure, tuple(c if i in on else ZERO for i in range(structure.n))
-    )
+    on = range(structure.n) if on is None else frozenset(on)
+    return FuzzySubset(structure, tuple(c if i in on else ZERO for i in range(structure.n)))
 
 
 def _thresholds(breaks: set[int]) -> list[int]:

@@ -258,29 +258,22 @@ def enumerate_crisp(structure: GammaSemigroup, kind: str) -> list[CrispSubset]:
 def classify_structure(s: GammaSemigroup) -> StructureClassification:
     """Regularity, intra-regularity and the duo flags.
 
-    Duo is decided by scanning all 2^n - 1 non-empty subsets for one-sided
-    ideals; raises CarrierTooLarge beyond SUBSET_SCAN_LIMIT.
+    Duo compares the one-sided ideals among all 2^n - 1 non-empty subsets:
+    left duo when every left ideal is a right ideal, right duo conversely.
+    Raises CarrierTooLarge beyond SUBSET_SCAN_LIMIT.
     """
     if s.n > SUBSET_SCAN_LIMIT:
         raise CarrierTooLarge(
             f"duo scan needs 2^{s.n} subsets, cap is n <= {SUBSET_SCAN_LIMIT}"
         )
-    left_duo = right_duo = True
-    for a in _nonempty_subsets(s.n):
-        left = is_left_ideal(s, a)
-        right = is_right_ideal(s, a)
-        if left and not right:
-            left_duo = False
-        if right and not left:
-            right_duo = False
-        if not left_duo and not right_duo:
-            break
+    left = set(enumerate_crisp(s, "left_ideal"))
+    right = set(enumerate_crisp(s, "right_ideal"))
     return StructureClassification(
         regular=is_regular(s),
         intra_regular=is_intra_regular(s),
-        left_duo=left_duo,
-        right_duo=right_duo,
-        duo=left_duo and right_duo,
+        left_duo=left <= right,
+        right_duo=right <= left,
+        duo=left == right,
     )
 
 

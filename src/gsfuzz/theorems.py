@@ -1,9 +1,9 @@
 """Machine verification of the equivalence and characterization theorems.
 
-Each report evaluates the listed conditions of one named theorem by
-independent routes and records whether all condition flags agree.  A
-disagreement is either a build error or a genuine counterexample, so reports
-carry the refuting data.
+Each report evaluates the listed conditions of one named theorem and records
+whether all condition flags agree; thm3.2's and thm3.5's forms (1) and (2)
+share one closed-form scan.  A disagreement is either a build error or a
+genuine counterexample, so reports carry the refuting data.
 
 Theorems quantifying over *all* fuzzy bi-ideals (thm4.28, thm4.29) cannot be
 checked universally; their reports check the forward direction on caller
@@ -17,24 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SampleNotBiIdeal, StructureMismatch
-from .fuzzy import (
-    IN,
-    IN_OR_Q,
-    ZERO,
-    FuzzySubset,
-    _critical,
-    _scaled,
-    _scaled_pair,
-    _sup_min_scaled,
-)
-from .predicates import (
-    AlphaBetaPair,
-    _within_or_q,
-    is_alpha_beta_bi_ideal,
-    is_alpha_beta_subsemigroup,
-    is_eq_bi_ideal,
-    is_eq_subsemigroup,
-)
+from .fuzzy import ZERO, FuzzySubset, _critical, _scaled, _scaled_pair, _sup_min_scaled
+from .predicates import _within_or_q, is_eq_bi_ideal, is_eq_subsemigroup
 from .structure import (
     GammaSemigroup,
     Homomorphism,
@@ -44,8 +28,6 @@ from .structure import (
     is_regular,
     is_subsemigroup,
 )
-
-EQ = AlphaBetaPair(IN, IN_OR_Q)
 
 
 @dataclass(frozen=True)
@@ -95,18 +77,19 @@ def _meet(a: list[int], b: list[int], cap: int) -> list[int]:
 def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
     """thm3.2: five equivalent forms of the (in, in-or-q) subsemigroup predicate.
 
-    (1) the point-implication form, decided by its closed-form bound;
-    (2) the 1/2-capped inequality;
+    (1) the point-implication form and (2) the 1/2-capped inequality, one
+        closed-form scan that decides both;
     (3) mu o mu is contained in-or-q in mu;
     (4) mu o mu capped at 1/2 <= mu pointwise;
     (5) every non-empty level set at critical r <= 1/2 is a subsemigroup.
     """
     s = mu.structure
+    closed_form = is_eq_subsemigroup(mu).holds
     g, base = _scaled(mu)
     square = _sup_min_scaled(s, g, g, base)
     flags = (
-        is_alpha_beta_subsemigroup(mu, EQ).holds,
-        is_eq_subsemigroup(mu).holds,
+        closed_form,
+        closed_form,
         _within_or_q(square, g, base),
         # The cap is the constant 1/2, not 1/2 on the support of mu: a product
         # can land outside the support, where a support cap zeroes the
@@ -121,17 +104,19 @@ def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
 def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
     """thm3.5: the bi-ideal analogue, middle factor the characteristic of S.
 
-    The theorem is scoped to (in, in-or-q) subsemigroups, so the product
-    conditions (3) and (4) are taken in conjunction with that hypothesis;
-    (1), (2) and (5) carry it already.
+    (1) and (2) are one closed-form scan, as in thm3.2.  The theorem is
+    scoped to (in, in-or-q) subsemigroups, so the product conditions (3) and
+    (4) are taken in conjunction with that hypothesis; (1), (2) and (5) carry
+    it already.
     """
     s = mu.structure
     hypothesis = is_eq_subsemigroup(mu).holds
+    closed_form = is_eq_bi_ideal(mu).holds
     g, base = _scaled(mu)
     triple = _sup_min_scaled(s, _sup_min_scaled(s, g, [base] * s.n, base), g, base)
     flags = (
-        is_alpha_beta_bi_ideal(mu, EQ).holds,
-        is_eq_bi_ideal(mu).holds,
+        closed_form,
+        closed_form,
         hypothesis and _within_or_q(triple, g, base),
         # constant 1/2 cap, as in thm3.2
         hypothesis and all(min(v, base // 2) <= m for v, m in zip(triple, g)),
