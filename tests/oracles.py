@@ -295,6 +295,21 @@ def intra_regular_by_definition(s) -> bool:
     )
 
 
+def duo_flags_by_definition(s) -> tuple[bool, bool, bool]:
+    """(left_duo, right_duo, duo) over all 2^n - 1 non-empty subsets A: left
+    duo when every left ideal (S Gamma A in A) is a right ideal (A Gamma S
+    in A), right duo conversely, duo when both."""
+    carrier = range(s.n)
+    left, right = set(), set()
+    for mask in range(1, 1 << s.n):
+        a = frozenset(i for i in carrier if mask >> i & 1)
+        if _gamma_set(s, carrier, a) <= a:
+            left.add(a)
+        if _gamma_set(s, a, carrier) <= a:
+            right.add(a)
+    return left <= right, right <= left, left == right
+
+
 def bi_ideal_by_definition(s, a) -> bool:
     """A Gamma A and A Gamma S Gamma A are contained in A, by a full scan."""
     n, k = range(s.n), range(s.k)

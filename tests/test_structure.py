@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from corpus import exhaustive
+from corpus import direct_product, exhaustive, size4_structures
 from gsfuzz import (
     classify_structure,
     classify_subset,
@@ -24,6 +24,7 @@ from gsfuzz.errors import (
     OutOfRangeEntry,
 )
 from gsfuzz.search import GeneratorConfig, SplitMix64, generate_structures, mod_surrogate
+from oracles import duo_flags_by_definition
 
 EX34_CUBE = [[[0, 0, 0]], [[0, 1, 0]], [[0, 0, 2]]]
 
@@ -136,6 +137,31 @@ def test_classify_structure_fixtures(ex34, ex46, ex427):
     duo_flags = Counter((f.left_duo, f.right_duo) for f in map(classify_structure, corpus))
     assert len(corpus) == 549
     assert duo_flags == {(True, True): 313, (True, False): 118, (False, True): 118}
+
+
+def test_duo_flags_match_the_subset_definition(builtin_fixtures):
+    """(left_duo, right_duo, duo) against the 2^n - 1 subset scan of
+    oracles.duo_flags_by_definition, on the exhaustive n <= 3, k <= 2 corpus,
+    100 seeded order-4 structures, the fixtures, Z_2 to Z_14 and direct
+    products of orders 4, 6 and 12."""
+    twos, threes = exhaustive(2, 1), exhaustive(3, 1)[::10]
+    fours = size4_structures(k=1, count=50)
+    corpus = [s for n, k in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)) for s in exhaustive(n, k)]
+    corpus += fours + size4_structures(k=2, count=50)
+    corpus += [f.structure for f in builtin_fixtures.values()]
+    corpus += [mod_surrogate(n).structure for n in range(2, 15)]
+    corpus += [direct_product(a, b) for k in (1, 2) for a in exhaustive(2, k) for b in exhaustive(2, k)]
+    corpus += [direct_product(a, b) for a in twos for b in threes]
+    corpus += [direct_product(a, b) for a in fours[:3] for b in threes[:1]]
+    patterns = Counter()
+    for s in corpus:
+        f = classify_structure(s)
+        assert (f.left_duo, f.right_duo, f.duo) == duo_flags_by_definition(s), s.cayley
+        patterns[f.left_duo, f.right_duo, f.duo] += 1
+    assert len(corpus) == 1025
+    assert set(patterns) == {
+        (True, True, True), (True, False, False), (False, True, False), (False, False, False)
+    }
 
 
 def test_classify_structure_degenerate():
