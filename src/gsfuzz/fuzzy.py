@@ -33,6 +33,8 @@ GradeLike = Union[Fraction, int, str]
 
 def as_grade(value: GradeLike) -> Fraction:
     """Coerce to an exact Fraction in [0,1]; decimals parse exactly."""
+    if isinstance(value, float):  # 0.1 is 3602879701896397/2**55, not 1/10
+        raise InvalidGrade(f"float grade {value!r} is inexact; pass a str, int or Fraction")
     try:
         g = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -86,6 +88,8 @@ class FuzzyPoint:
     value: Fraction
 
     def __post_init__(self):
+        if isinstance(self.value, float):
+            raise InvalidGrade(f"float point value {self.value!r} is inexact; pass a Fraction")
         if not ZERO < self.value <= ONE:
             raise InvalidGrade(f"point value {self.value} outside (0,1]")
 
@@ -168,6 +172,8 @@ class LevelSets:
 
 
 def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
+    if isinstance(t, float):
+        raise InvalidThreshold(f"float threshold {t!r} is inexact; pass a str, int or Fraction")
     t = Fraction(t)
     if not ZERO < t <= ONE:
         raise InvalidThreshold(f"threshold {t} outside (0,1]")

@@ -256,24 +256,18 @@ def enumerate_crisp(structure: GammaSemigroup, kind: str) -> list[CrispSubset]:
 
 
 def classify_structure(s: GammaSemigroup) -> StructureClassification:
-    """Regularity, intra-regularity and the duo flags.
+    """Regularity, intra-regularity and the duo flags, for every n.
 
-    Duo compares the one-sided ideals among all 2^n - 1 non-empty subsets:
-    left duo when every left ideal is a right ideal, right duo conversely.
-    Raises CarrierTooLarge beyond SUBSET_SCAN_LIMIT.
+    Left duo (every left ideal is a right ideal) holds exactly when the n
+    principal left ideals {a} | S Gamma a are right ideals: each is a left
+    ideal, and a left ideal L is the union of those of its elements, while a
+    union of right ideals is a right ideal.  Right duo is the mirror image.
     """
-    if s.n > SUBSET_SCAN_LIMIT:
-        raise CarrierTooLarge(
-            f"duo scan needs 2^{s.n} subsets, cap is n <= {SUBSET_SCAN_LIMIT}"
-        )
-    left = set(enumerate_crisp(s, "left_ideal"))
-    right = set(enumerate_crisp(s, "right_ideal"))
+    carrier = range(s.n)
+    left_duo = all(is_right_ideal(s, gamma_product(s, carrier, {a}) | {a}) for a in carrier)
+    right_duo = all(is_left_ideal(s, gamma_product(s, {a}, carrier) | {a}) for a in carrier)
     return StructureClassification(
-        regular=is_regular(s),
-        intra_regular=is_intra_regular(s),
-        left_duo=left <= right,
-        right_duo=right <= left,
-        duo=left == right,
+        is_regular(s), is_intra_regular(s), left_duo, right_duo, left_duo and right_duo
     )
 
 

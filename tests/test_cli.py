@@ -397,8 +397,10 @@ def test_cli_caps_are_usage_errors(tmp_path, capsys):
     # A cap stops the run on a valid structure: exit 2, not 3 (invalid structure).
     path = _write(tmp_path, "mod17.gsf", print_document(document_for(mod_surrogate(17).structure)))
     code, out = _run(capsys, ["classify", path])
+    assert code == 0 and "duo: true\n" in out
+    code, out = _run(capsys, ["enumerate", path, "--kind", "bi_ideal"])
     assert code == 2
-    assert out == "error: CarrierTooLarge: duo scan needs 2^17 subsets, cap is n <= 16\n"
+    assert out == "error: CarrierTooLarge: 2^17 subset scan exceeds the cap (n <= 16)\n"
     code, out = _run(capsys, ["search", "--want", "eq_subsemigroup", "--n", "4", "--exhaustive"])
     assert code == 2 and out.startswith("error: CarrierTooLarge: ")
 

@@ -46,6 +46,9 @@ def test_as_grade_parses_decimals_exactly():
         as_grade("-1/2")
     with pytest.raises(InvalidGrade):
         as_grade("x")
+    with pytest.raises(InvalidGrade) as exc:
+        as_grade(0.1)  # a binary float, never exactly 1/10
+    assert str(exc.value) == "float grade 0.1 is inexact; pass a str, int or Fraction"
 
 
 def test_fuzzy_subset_from_list_keeps_a_tuple(ex34):
@@ -90,6 +93,9 @@ def test_point_satisfies_unknown_element(ex34):
         with pytest.raises(InvalidGrade) as exc:
             FuzzyPoint(0, value)
         assert str(exc.value) == f"point value {value} outside (0,1]"
+    with pytest.raises(InvalidGrade) as exc:
+        FuzzyPoint(0, 0.1)
+    assert str(exc.value) == "float point value 0.1 is inexact; pass a Fraction"
 
 
 def test_level_sets_examples(ex34, ex46):
@@ -110,6 +116,9 @@ def test_level_sets_threshold_range(ex34):
         level_sets(ex34.fuzzy["mu"], 0)
     with pytest.raises(InvalidThreshold):
         level_sets(ex34.fuzzy["mu"], F(3, 2))
+    with pytest.raises(InvalidThreshold) as exc:
+        level_sets(ex34.fuzzy["mu"], 0.1)
+    assert str(exc.value) == "float threshold 0.1 is inexact; pass a str, int or Fraction"
 
 
 def test_support(ex34):

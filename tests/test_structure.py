@@ -14,7 +14,6 @@ from gsfuzz import (
 )
 from gsfuzz.errors import (
     AssociativityViolation,
-    CarrierTooLarge,
     DuplicateName,
     EmptyCarrier,
     EmptyGammaSet,
@@ -172,10 +171,13 @@ def test_classify_structure_degenerate():
     )
 
 
-def test_classify_structure_scan_cap():
-    with pytest.raises(CarrierTooLarge) as exc:
-        classify_structure(mod_surrogate(17).structure)
-    assert str(exc.value) == "duo scan needs 2^17 subsets, cap is n <= 16"
+def test_classify_structure_has_no_subset_cap():
+    # Z_17 with Gamma = {5, 7} is commutative, so its one-sided ideals are
+    # two-sided, and its non-zero elements are units, so it is regular
+    flags = classify_structure(mod_surrogate(17).structure)
+    assert all(
+        (flags.regular, flags.intra_regular, flags.left_duo, flags.right_duo, flags.duo)
+    )
 
 
 def test_homomorphism_identity_and_constant(ex34, ex427):
