@@ -311,3 +311,37 @@ def test_find_witness_matches_unmemoized_hunt():
             assert got == find_witness_by_definition(structures, want, grid), (want, grid)
             outcomes.add((want.startswith("union"), got[0]))
     assert outcomes == {(pair, found) for pair in (True, False) for found in (True, False)}
+
+
+# Outcomes of find_witness over one mixed stream, pinned by sha256 so that a
+# rewrite of the --want evaluator keeps every verdict, count and witness.
+# The tenth expression reads as fuzzy_subsemigroup only when AND binds
+# tighter than OR; with the precedence swapped it can never hold.
+PINNED_WANTS = (
+    "eq_subsemigroup AND NOT fuzzy_subsemigroup",
+    "eq_subsemigroup and not fuzzy_subsemigroup or eq_bi_ideal",
+    "NOT (eq_ideal OR fuzzy_bi_ideal) AND eq_bi_ideal",
+    "(eq_subsemigroup OR eq_bi_ideal) AND NOT fuzzy_subsemigroup",
+    "NOT NOT eq-left-ideal AND NOT eq_right_ideal",
+    "eq_ideal AND NOT eq_bi_ideal",
+    "union_of_two_eq_subsemigroups AND NOT eq_subsemigroup",
+    "NOT union_of_two_eq_bi_ideals OR eq_subsemigroup",
+    "ab-bi-ideal:q,invq AND NOT invq_in_subsemigroup",
+    "fuzzy_subsemigroup OR eq_subsemigroup AND NOT eq_subsemigroup",
+    "NOT eq_bi_ideal AND eq_bi_ideal OR eq_ideal",
+)
+PINNED_WANTS_SHA256 = "40ea49ab3373e894"
+
+
+def test_find_witness_outcomes_are_pinned():
+    stream = exhaustive(2, 1) + exhaustive(2, 2) + exhaustive(3, 1)[::10]
+    outcomes = []
+    for want in PINNED_WANTS:
+        for grid in (2, 3):
+            res = find_witness(stream, want, grid)
+            cayley = res.structure.cayley if res.found else None
+            grades = tuple(mu.grades for mu in res.subsets)
+            outcomes.append(
+                (res.found, res.structures_scanned, res.subsets_scanned, cayley, grades)
+            )
+    assert sha256(repr(outcomes).encode()).hexdigest().startswith(PINNED_WANTS_SHA256)
