@@ -22,7 +22,7 @@ from .errors import (
     StructureMismatch,
     UnknownElement,
 )
-from .structure import CrispSubset, GammaSemigroup
+from .structure import CrispSubset, GammaSemigroup, _check_subset
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -267,7 +267,7 @@ def constant(
 ) -> FuzzySubset:
     """Grade c on the given subset (default: the whole carrier), 0 elsewhere."""
     c = as_grade(value)
-    on = range(structure.n) if on is None else frozenset(on)
+    on = range(structure.n) if on is None else _check_subset(structure, on)
     return FuzzySubset(structure, tuple(c if i in on else ZERO for i in range(structure.n)))
 
 

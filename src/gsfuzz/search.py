@@ -220,67 +220,52 @@ _PAIR_PREDICATES = {
 }
 
 
-def _pair_decider(name: str) -> Callable | None:
-    return _PAIR_PREDICATES.get(name.replace("-", "_"))
+def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
+    """Compile to (test, pair_mode).  Grammar: expr := term (OR term)*;
+    term := fact (AND fact)*; fact := NOT fact | ( expr ) | NAME.
 
-
-class _Expr:
-    """Parsed boolean combination of named predicates."""
-
-    def __init__(self, kind: str, *parts):
-        self.kind = kind
-        self.parts = parts
-
-    def atoms(self) -> set:
-        if self.kind == "atom":
-            return {self.parts[0]}
-        return set().union(*(p.atoms() for p in self.parts))
-
-    def evaluate(self, lookup: Callable) -> bool:
-        """lookup(decide, pair) is an atom's truth value."""
-        if self.kind == "atom":
-            return lookup(*self.parts[1:])
-        if self.kind == "not":
-            return not self.parts[0].evaluate(lookup)
-        if self.kind == "and":
-            return all(p.evaluate(lookup) for p in self.parts)
-        return any(p.evaluate(lookup) for p in self.parts)
-
-
-def parse_want(text: str) -> _Expr:
-    """Grammar: expr := term (OR term)*; term := fact (AND fact)*;
-    fact := NOT fact | ( expr ) | NAME."""
+    test(lookup) is the expression's truth value, with chains short-circuited
+    left to right; lookup(decide, pair) is an atom's, for its decider and
+    whether it is a pair predicate.  pair_mode: some atom is a pair predicate.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
+    pair_mode = False
 
-    def fact() -> _Expr:
+    def fact() -> Callable:
+        nonlocal pair_mode
         if not tokens:
             raise UnknownPredicateName("unexpected end of expression")
         tok = tokens.pop()
         if tok.upper() == "NOT":
-            return _Expr("not", fact())
+            inner = fact()
+            return lambda lookup: not inner(lookup)
         if tok == "(":
             e = expr()
             if not tokens or tokens.pop() != ")":
                 raise UnknownPredicateName("missing closing parenthesis")
             return e
-        pair = _pair_decider(tok)
-        return _Expr("atom", tok, pair or _resolve_predicate(tok), pair is not None)
+        pair = _PAIR_PREDICATES.get(tok.replace("-", "_"))
+        decide, is_pair = pair or _resolve_predicate(tok), pair is not None
+        pair_mode = pair_mode or is_pair
+        return lambda lookup: lookup(decide, is_pair)
 
-    def chain(kind: str, part: Callable[[], _Expr]) -> _Expr:
-        """part (KIND part)*, for kind "and" or "or"; the keyword is case-blind."""
+    def chain(keyword: str, part: Callable[[], Callable], join: Callable) -> Callable:
+        """part (KEYWORD part)*, joined by all for AND or any for OR."""
         parts = [part()]
-        while tokens and tokens[-1].upper() == kind.upper():
+        while tokens and tokens[-1].upper() == keyword:
             tokens.pop()
             parts.append(part())
-        return parts[0] if len(parts) == 1 else _Expr(kind, *parts)
+        if len(parts) == 1:
+            return parts[0]
+        return lambda lookup: join(p(lookup) for p in parts)
 
-    def expr() -> _Expr:
-        return chain("or", lambda: chain("and", fact))
+    def expr() -> Callable:
+        return chain("OR", lambda: chain("AND", fact, all), any)
 
-    out = expr()
+    test = expr()
     if tokens:
         raise UnknownPredicateName(f"trailing token {tokens[-1]!r}")
-    return out
+    return test, pair_mode
 
 
 @dataclass(frozen=True)
@@ -304,8 +289,7 @@ def find_witness(
     grid-lexicographic order, so the first hit is well defined; with no hit
     the bounds scanned are reported.
     """
-    tree = parse_want(want)
-    pair_mode = any(_pair_decider(name) for name in tree.atoms())
+    test, pair_mode = parse_want(want)
     n_struct = 0
     n_sub = 0
     for s in structures:
@@ -313,7 +297,7 @@ def find_witness(
         if not pair_mode:
             for mu in grid_subsets(s, grid):
                 n_sub += 1
-                if tree.evaluate(lambda decide, pair: decide(mu).holds):
+                if test(lambda decide, pair: decide(mu).holds):
                     return WitnessSearch(True, s, (mu,), n_struct, n_sub)
         else:
             # Each (atom, grid subset) is decided at most once per structure.
@@ -338,6 +322,6 @@ def find_witness(
                 for j, v2 in enumerate(vecs):
                     n_sub += 1
                     u = where[tuple(map(max, v1, v2))]
-                    if tree.evaluate(lookup):
+                    if test(lookup):
                         return WitnessSearch(True, s, (pool[i], pool[j], pool[u]), n_struct, n_sub)
     return WitnessSearch(False, None, (), n_struct, n_sub)

@@ -110,13 +110,14 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
     it already.
     """
     s = mu.structure
-    hypothesis = is_eq_subsemigroup(mu).holds
-    closed_form = is_eq_bi_ideal(mu).holds
+    verdict = is_eq_bi_ideal(mu)
+    # the scan tries every pair product first: a sandwich witness means they all passed
+    hypothesis = verdict.holds or verdict.witness.z is not None
     g, base = _scaled(mu)
     triple = _sup_min_scaled(s, _sup_min_scaled(s, g, [base] * s.n, base), g, base)
     flags = (
-        closed_form,
-        closed_form,
+        verdict.holds,
+        verdict.holds,
         hypothesis and _within_or_q(triple, g, base),
         # constant 1/2 cap, as in thm3.2
         hypothesis and all(min(v, base // 2) <= m for v, m in zip(triple, g)),

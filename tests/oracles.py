@@ -318,13 +318,6 @@ def bi_ideal_by_definition(s, a) -> bool:
     )
 
 
-def _want_atoms(tree) -> list:
-    """The (name, decide, is_pair) of every atom of a parsed --want tree."""
-    if tree.kind == "atom":
-        return [tree.parts]
-    return [atom for part in tree.parts for atom in _want_atoms(part)]
-
-
 def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
     """find_witness re-derived with no memo: (found, structure, witness
     grades, structures scanned, candidates scanned).
@@ -335,8 +328,7 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
     atom on both operands and a unary atom on the union, each time it is
     evaluated.
     """
-    tree = parse_want(want)
-    pair_mode = any(is_pair for _, _, is_pair in _want_atoms(tree))
+    test, pair_mode = parse_want(want)
     n_struct = n_sub = 0
     for s in structures:
         n_struct += 1
@@ -347,7 +339,7 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
         if not pair_mode:
             for mu in pool:
                 n_sub += 1
-                if tree.evaluate(lambda decide, pair: decide(mu).holds):
+                if test(lambda decide, pair: decide(mu).holds):
                     return True, s, (mu.grades,), n_struct, n_sub
             continue
         for m1, m2 in product(pool, repeat=2):
@@ -359,7 +351,7 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
                     return decide(m1).holds and decide(m2).holds
                 return decide(union).holds
 
-            if tree.evaluate(lookup):
+            if test(lookup):
                 return True, s, (m1.grades, m2.grades, union.grades), n_struct, n_sub
     return False, None, (), n_struct, n_sub
 

@@ -24,6 +24,7 @@ from gsfuzz import (
 )
 from gsfuzz.errors import (
     EmptyFamily,
+    IndexOutOfRange,
     InvalidGrade,
     InvalidThreshold,
     StructureMismatch,
@@ -257,6 +258,11 @@ def test_characteristic_and_constant(ex34, ex427):
     mu1 = ex34.fuzzy["mu"]
     on_support = constant(ex34.structure, HALF, support(mu1))
     assert on_support == constant(ex34.structure, HALF)  # Supp(mu1) = S
+    # members are element indices: never dropped, never read as bools
+    for members, shown in (([5], "5"), ([-1], "-1"), (["a"], "'a'"), ([True], "True")):
+        with pytest.raises(IndexOutOfRange) as exc:
+            characteristic(ex34.structure, members)
+        assert str(exc.value) == f"element index {shown} out of range"
 
 
 def test_critical_thresholds_cover_all_cells(ex46):

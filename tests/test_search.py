@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from hashlib import sha256
+from itertools import product
 
 import pytest
 
@@ -204,9 +205,22 @@ def test_bi_ideals_subset_of_subsemigroups():
         assert set(enumerate_crisp(s, "bi_ideal")) <= set(enumerate_crisp(s, "subsemigroup"))
 
 
+def _truth_table(want):
+    """The compiled test under all 8 assignments of its three atoms."""
+    test, _ = parse_want(want)
+    names = ("is_eq_subsemigroup", "is_fuzzy_subsemigroup", "is_eq_bi_ideal")
+    table = []
+    for values in product((False, True), repeat=3):
+        value = dict(zip(names, values))
+        table.append(test(lambda decide, pair: value[decide.__name__]))
+    return table
+
+
 def test_parse_want_grammar():
-    tree = parse_want("eq_subsemigroup AND NOT (fuzzy_subsemigroup OR eq_bi_ideal)")
-    assert tree.atoms() == {"eq_subsemigroup", "fuzzy_subsemigroup", "eq_bi_ideal"}
+    assignments = list(product((False, True), repeat=3))
+    assert _truth_table("eq_subsemigroup AND NOT (fuzzy_subsemigroup OR eq_bi_ideal)") == [
+        a and not (b or c) for a, b, c in assignments
+    ]
     with pytest.raises(UnknownPredicateName):
         parse_want("eq_subsemigroup AND no_such_thing")
     with pytest.raises(UnknownPredicateName):
@@ -226,9 +240,16 @@ def test_parse_want_grammar():
             parse_want(text)
         assert str(exc.value) == message, text
     # keywords are case-blind, and AND binds tighter than OR
-    tree = parse_want("eq_subsemigroup and not fuzzy_subsemigroup or eq_bi_ideal")
-    assert tree.kind == "or" and [p.kind for p in tree.parts] == ["and", "atom"]
-    assert [p.kind for p in tree.parts[0].parts] == ["atom", "not"]
+    assert _truth_table("eq_subsemigroup and not fuzzy_subsemigroup or eq_bi_ideal") == [
+        a and not b or c for a, b, c in assignments
+    ]
+    # pair mode is known from the parse
+    assert parse_want("NOT union_of_two_eq_bi_ideals OR eq_subsemigroup")[1]
+    for want in (
+        "eq_subsemigroup AND NOT (fuzzy_subsemigroup OR eq_bi_ideal)",
+        "eq_subsemigroup and not fuzzy_subsemigroup or eq_bi_ideal",
+    ):
+        assert not parse_want(want)[1]
 
 
 def test_find_witness_eq_not_fuzzy(ex34):

@@ -28,6 +28,7 @@ from gsfuzz import (
     validate_structure,
 )
 from gsfuzz.errors import EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
+from gsfuzz import predicates
 from gsfuzz.fuzzy import HALF
 from gsfuzz.search import GeneratorConfig, SplitMix64, random_fuzzy, sample_eq_bi_ideals
 from gsfuzz.structure import classify_structure, classify_subset, enumerate_homomorphisms
@@ -101,6 +102,28 @@ def test_bi_ideal_equivalences_examples(ex46, ex427):
     assert report_bi_ideal_equivalences(halfc).agree
     for mu in _samples(ex427.structure, seed=31, count=25):
         assert report_bi_ideal_equivalences(mu).agree
+
+
+def test_bi_ideal_equivalences_scan_once(builtin_fixtures, monkeypatch):
+    # thm3.5 reads its subsemigroup hypothesis off the bi-ideal verdict
+    pool = [
+        mu
+        for f in builtin_fixtures.values()
+        for mu in [*f.fuzzy.values(), *_samples(f.structure, seed=5, count=10)]
+    ]
+    kinds = {(v.holds, v.holds or v.witness.z is not None) for v in map(is_eq_bi_ideal, pool)}
+    assert kinds == {(True, True), (False, True), (False, False)}
+    scan, calls = predicates._first_failure, []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(predicates, "_first_failure", counted)
+    for mu in pool:
+        calls.clear()
+        report_bi_ideal_equivalences(mu)
+        assert len(calls) == 1
 
 
 def test_level_characterization(ex34, ex46):
