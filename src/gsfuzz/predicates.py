@@ -157,7 +157,7 @@ def _scaled_grades(mu: FuzzySubset) -> tuple[tuple[int, ...], int]:
 # inverted for in-and-q, with negated beta its dual on B - mu(w).  So one
 # ascending pass over the candidates finds the first failing (t, r).  The
 # pair resolves these rules once, when it is built.  The scan loops stay
-# inline because the witness hunts call the deciders on many tiny subsets.
+# inline because the witness hunts run them on many tiny grade vectors.
 
 
 def _first_failure(s, key: Sequence[int], bounds: list, bi: bool) -> tuple | None:
@@ -224,14 +224,20 @@ def is_eq_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
     return _closed_form(mu, _IN_INVQ, True)
 
 
+def _one_sided_bounds(g: Sequence[int], base: int, left: bool) -> list:
+    """bounds[x][y] of the left (min(mu(y), 1/2)) or right (min(mu(x), 1/2))
+    ideal, for the scaled grades g."""
+    half = base // 2
+    c = [v if v < half else half for v in g]
+    return [c] * len(c) if left else [[v] * len(c) for v in c]
+
+
 def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
     """Left: mu(x g y) >= min(mu(y), 1/2).  Right: >= min(mu(x), 1/2)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     g, base = _scaled_grades(mu)
-    half = base // 2
-    c = [v if v < half else half for v in g]
-    bounds = [c] * len(c) if side == "left" else [[v] * len(c) for v in c]
+    bounds = _one_sided_bounds(g, base, side == "left")
     return _verdict(_first_failure(mu.structure, g, bounds, False))
 
 
@@ -340,21 +346,43 @@ def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVer
     return _alpha_beta_scan(mu, pair, bi=True)
 
 
+# A scan decides a predicate on grades g scaled to an even base (1/2 is
+# base // 2), with no FuzzySubset: scan(s, g, base) is the first failing
+# product as _first_failure gives it, or None exactly when the predicate
+# holds.  Every bound above is homogeneous in (g, base), so any positive
+# rescaling of the grades and base gives the same verdict; the witness hunts
+# scan grid vectors v over base grid as 2v over 2 * grid.
+
+
+def _closed_scan(pair: AlphaBetaPair, bi: bool) -> Callable:
+    """The scan of pair's closed form, in subsemigroup or (bi) bi-ideal form."""
+    return lambda s, g, base: _first_failure(s, *_product_bounds(pair, g, base), bi)
+
+
+def _one_sided_scan(left: bool) -> Callable:
+    """The scan of the left or the right (in, in-or-q) ideal."""
+    return lambda s, g, base: _first_failure(s, g, _one_sided_bounds(g, base, left), False)
+
+
+_LEFT, _RIGHT = _one_sided_scan(True), _one_sided_scan(False)
+
+# name -> (public decider, scan); the (alpha, beta) names resolve by pattern
 _NAMED = {
-    "fuzzy-subsemigroup": is_fuzzy_subsemigroup,
-    "fuzzy-bi-ideal": is_fuzzy_bi_ideal,
-    "eq-subsemigroup": is_eq_subsemigroup,
-    "eq-bi-ideal": is_eq_bi_ideal,
-    "eq-left-ideal": partial(is_eq_one_sided_ideal, side="left"),
-    "eq-right-ideal": partial(is_eq_one_sided_ideal, side="right"),
-    "eq-ideal": is_eq_ideal,
+    "fuzzy-subsemigroup": (is_fuzzy_subsemigroup, _closed_scan(_IN_IN, False)),
+    "fuzzy-bi-ideal": (is_fuzzy_bi_ideal, _closed_scan(_IN_IN, True)),
+    "eq-subsemigroup": (is_eq_subsemigroup, _closed_scan(_IN_INVQ, False)),
+    "eq-bi-ideal": (is_eq_bi_ideal, _closed_scan(_IN_INVQ, True)),
+    "eq-left-ideal": (partial(is_eq_one_sided_ideal, side="left"), _LEFT),
+    "eq-right-ideal": (partial(is_eq_one_sided_ideal, side="right"), _RIGHT),
+    "eq-ideal": (is_eq_ideal, lambda s, g, base: _LEFT(s, g, base) or _RIGHT(s, g, base)),
 }
 _AB_FORMS = {"subsemigroup": is_alpha_beta_subsemigroup, "bi-ideal": is_alpha_beta_bi_ideal}
 _A, _B, _FORM = "(in|q|invq)", "((?:not-)?(?:in|q|invq|inandq))", "(subsemigroup|bi-ideal)"
 
 
-def _resolve_predicate(name: str) -> Callable[[FuzzySubset], PredicateVerdict]:
-    """The decider a predicate name stands for; '_' and '-' spell alike.
+def _resolve_predicate(name: str) -> tuple[Callable[[FuzzySubset], PredicateVerdict], Callable]:
+    """The decider a predicate name stands for, and its scan; '_' and '-'
+    spell alike.
 
     Names, lower case only: fuzzy-subsemigroup, fuzzy-bi-ideal,
     eq-subsemigroup, eq-bi-ideal, eq-left-ideal, eq-right-ideal, eq-ideal,
@@ -371,9 +399,10 @@ def _resolve_predicate(name: str) -> Callable[[FuzzySubset], PredicateVerdict]:
         alpha, beta, form = m.groups()
     else:
         raise UnknownPredicateName(f"unknown predicate name {name!r}")
-    return partial(_AB_FORMS[form], pair=AlphaBetaPair.parse(f"{alpha},{beta}"))
+    pair = AlphaBetaPair.parse(f"{alpha},{beta}")
+    return partial(_AB_FORMS[form], pair=pair), _closed_scan(pair, form == "bi-ideal")
 
 
 def check_by_name(name: str, mu: FuzzySubset) -> PredicateVerdict:
     """Decide the named predicate for mu (names as in _resolve_predicate)."""
-    return _resolve_predicate(name)(mu)
+    return _resolve_predicate(name)[0](mu)

@@ -18,11 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
 from .fuzzy import FuzzySubset
-from .predicates import (
-    _resolve_predicate,
-    is_eq_bi_ideal,
-    is_eq_subsemigroup,
-)
+from .predicates import _resolve_predicate, is_eq_bi_ideal
 from .structure import Cube, GammaSemigroup, _assoc_failure, validate_structure
 
 MASK64 = (1 << 64) - 1
@@ -171,13 +167,22 @@ def generate_structures(
         raise BudgetExhausted(f"{budget} rejection attempts produced {emitted}/{config.count}")
 
 
-def grid_subsets(structure: GammaSemigroup, grid: int) -> Iterator[FuzzySubset]:
-    """All non-zero fuzzy subsets with grades in {0, 1/d, ..., 1}, lex order."""
+def _grid_vectors(n: int, grid: int) -> Iterator[tuple[int, ...]]:
+    """The non-zero vectors of {0, ..., grid}^n in lexicographic order; a
+    grid below 1 raises at the call."""
     if grid < 1:
         raise ValueError("need grid >= 1")
-    for vec in product([Fraction(v, grid) for v in range(grid + 1)], repeat=structure.n):
-        if any(vec):
-            yield FuzzySubset(structure, vec)
+    return islice(product(range(grid + 1), repeat=n), 1, None)  # past the zero vector
+
+
+def _grid_subset(s: GammaSemigroup, vec: tuple[int, ...], grid: int) -> FuzzySubset:
+    """The fuzzy subset with grades vec / grid."""
+    return FuzzySubset(s, tuple(Fraction(v, grid) for v in vec))
+
+
+def grid_subsets(structure: GammaSemigroup, grid: int) -> Iterator[FuzzySubset]:
+    """All non-zero fuzzy subsets with grades in {0, 1/d, ..., 1}, lex order."""
+    return (_grid_subset(structure, vec, grid) for vec in _grid_vectors(structure.n, grid))
 
 
 def _grid_draws(n: int, grid: int, seed: int) -> Iterator[tuple[Fraction, ...]]:
@@ -212,11 +217,10 @@ def sample_eq_bi_ideals(
 
 # ---------------------------------------------------------- witness search
 
-# Pair predicates hold when both operands satisfy the unary decider; the
-# unary names are the predicates module's vocabulary.
+# Pair predicates hold when both operands satisfy the named unary predicate.
 _PAIR_PREDICATES = {
-    "union_of_two_eq_subsemigroups": is_eq_subsemigroup,
-    "union_of_two_eq_bi_ideals": is_eq_bi_ideal,
+    "union_of_two_eq_subsemigroups": "eq_subsemigroup",
+    "union_of_two_eq_bi_ideals": "eq_bi_ideal",
 }
 
 
@@ -225,8 +229,9 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
     term := fact (AND fact)*; fact := NOT fact | ( expr ) | NAME.
 
     test(lookup) is the expression's truth value, with chains short-circuited
-    left to right; lookup(decide, pair) is an atom's, for its decider and
-    whether it is a pair predicate.  pair_mode: some atom is a pair predicate.
+    left to right; lookup(scan, pair) is an atom's, for the scan of its
+    (unary) predicate, see predicates._resolve_predicate, and whether it is a
+    pair predicate.  pair_mode: some atom is a pair predicate.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
     pair_mode = False
@@ -244,10 +249,10 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
             if not tokens or tokens.pop() != ")":
                 raise UnknownPredicateName("missing closing parenthesis")
             return e
-        pair = _PAIR_PREDICATES.get(tok.replace("-", "_"))
-        decide, is_pair = pair or _resolve_predicate(tok), pair is not None
+        unary = _PAIR_PREDICATES.get(tok.replace("-", "_"))
+        scan, is_pair = _resolve_predicate(unary or tok)[1], unary is not None
         pair_mode = pair_mode or is_pair
-        return lambda lookup: lookup(decide, is_pair)
+        return lambda lookup: lookup(scan, is_pair)
 
     def chain(keyword: str, part: Callable[[], Callable], join: Callable) -> Callable:
         """part (KEYWORD part)*, joined by all for AND or any for OR."""
@@ -287,41 +292,46 @@ def find_witness(
     the unary predicates apply to their pointwise union (the witness tuple is
     then (mu1, mu2, union)).  Scan order is the deterministic structure /
     grid-lexicographic order, so the first hit is well defined; with no hit
-    the bounds scanned are reported.
+    the bounds scanned are reported.  Atoms are decided by their integer
+    scans on the grid vector v, as grades 2v over base 2 * grid, and
+    FuzzySubsets are built only for the witness returned.
     """
     test, pair_mode = parse_want(want)
+    _grid_vectors(1, grid)  # refuses a bad grid before the first structure
+    base = 2 * grid
     n_struct = 0
     n_sub = 0
     for s in structures:
         n_struct += 1
         if not pair_mode:
-            for mu in grid_subsets(s, grid):
+            for vec in _grid_vectors(s.n, grid):
                 n_sub += 1
-                if test(lambda decide, pair: decide(mu).holds):
-                    return WitnessSearch(True, s, (mu,), n_struct, n_sub)
+                g = [v + v for v in vec]
+                if test(lambda scan, pair: scan(s, g, base) is None):
+                    return WitnessSearch(True, s, (_grid_subset(s, vec, grid),), n_struct, n_sub)
         else:
-            # Each (atom, grid subset) is decided at most once per structure.
-            # vecs[i] is grid * pool[i].grades (both in grid_subsets order),
-            # so the union of two grid subsets is found by its integer vector.
-            pool = list(grid_subsets(s, grid))
-            vecs = [v for v in product(range(grid + 1), repeat=s.n) if any(v)]
+            # Each (atom, grid vector) is decided at most once per structure,
+            # and the union of two grid vectors is found by its index.
+            vecs = list(_grid_vectors(s.n, grid))
             where = {v: i for i, v in enumerate(vecs)}
+            scaled = [[v + v for v in vec] for vec in vecs]
             verdicts: dict = {}
 
-            def holds(decide, index: int) -> bool:
-                if (decide, index) not in verdicts:
-                    verdicts[decide, index] = decide(pool[index]).holds
-                return verdicts[decide, index]
+            def holds(scan, index: int) -> bool:
+                if (scan, index) not in verdicts:
+                    verdicts[scan, index] = scan(s, scaled[index], base) is None
+                return verdicts[scan, index]
 
-            def lookup(decide, pair) -> bool:
+            def lookup(scan, pair) -> bool:
                 if pair:
-                    return holds(decide, i) and holds(decide, j)
-                return holds(decide, u)
+                    return holds(scan, i) and holds(scan, j)
+                return holds(scan, u)
 
             for i, v1 in enumerate(vecs):
                 for j, v2 in enumerate(vecs):
                     n_sub += 1
                     u = where[tuple(map(max, v1, v2))]
                     if test(lookup):
-                        return WitnessSearch(True, s, (pool[i], pool[j], pool[u]), n_struct, n_sub)
+                        subsets = tuple(_grid_subset(s, vecs[x], grid) for x in (i, j, u))
+                        return WitnessSearch(True, s, subsets, n_struct, n_sub)
     return WitnessSearch(False, None, (), n_struct, n_sub)

@@ -23,6 +23,7 @@ from gsfuzz.fuzzy import (
     FuzzyPoint,
     PointRelation,
     RelKind,
+    _scaled,
     critical_thresholds,
     point_satisfies,
 )
@@ -322,11 +323,12 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
     """find_witness re-derived with no memo: (found, structure, witness
     grades, structures scanned, candidates scanned).
 
-    Grid subsets are rebuilt from integer vectors in lexicographic order.
-    A unary hunt decides every atom on each subset; a pair hunt scans every
-    ordered pair, builds its union by pointwise max and re-decides a pair
-    atom on both operands and a unary atom on the union, each time it is
-    evaluated.
+    Grid subsets are rebuilt as Fraction grades from integer vectors in
+    lexicographic order, and each atom's scan runs on fuzzy._scaled's grades
+    and base for the subset, not on the hunt's 2 * grid.  A unary hunt
+    decides every atom on each subset; a pair hunt scans every ordered pair,
+    builds its union by pointwise max and re-decides a pair atom on both
+    operands and a unary atom on the union, each time it is evaluated.
     """
     test, pair_mode = parse_want(want)
     n_struct = n_sub = 0
@@ -339,17 +341,17 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
         if not pair_mode:
             for mu in pool:
                 n_sub += 1
-                if test(lambda decide, pair: decide(mu).holds):
+                if test(lambda scan, pair: scan(s, *_scaled(mu)) is None):
                     return True, s, (mu.grades,), n_struct, n_sub
             continue
         for m1, m2 in product(pool, repeat=2):
             n_sub += 1
             union = FuzzySubset(s, tuple(max(a, b) for a, b in zip(m1.grades, m2.grades)))
 
-            def lookup(decide, pair) -> bool:
+            def lookup(scan, pair) -> bool:
                 if pair:
-                    return decide(m1).holds and decide(m2).holds
-                return decide(union).holds
+                    return scan(s, *_scaled(m1)) is None and scan(s, *_scaled(m2)) is None
+                return scan(s, *_scaled(union)) is None
 
             if test(lookup):
                 return True, s, (m1.grades, m2.grades, union.grades), n_struct, n_sub

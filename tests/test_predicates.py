@@ -37,7 +37,13 @@ from gsfuzz.fuzzy import (
     critical_thresholds,
     point_satisfies,
 )
-from gsfuzz.predicates import PredicateVerdict, Witness, _failing_cell, _product_bounds
+from gsfuzz.predicates import (
+    PredicateVerdict,
+    Witness,
+    _failing_cell,
+    _product_bounds,
+    _resolve_predicate,
+)
 from gsfuzz.search import GeneratorConfig, find_witness, generate_structures, random_fuzzy
 from gsfuzz.structure import classify_subset
 
@@ -493,3 +499,32 @@ def test_predicate_names_accept_both_spellings(ex34, ex46):
     (found,) = hyphen.subsets
     assert is_alpha_beta_bi_ideal(found, AlphaBetaPair.parse("in,q")).holds
     assert not is_eq_ideal(found).holds
+
+
+# the seven named forms, then both (alpha, beta) forms of all 24 pairs
+SCANNED_NAMES = (
+    "fuzzy-subsemigroup", "fuzzy-bi-ideal", "eq-subsemigroup", "eq-bi-ideal",
+    "eq-left-ideal", "eq-right-ideal", "eq-ideal",
+) + tuple(f"ab-{form}:{pair}" for form in ("subsemigroup", "bi-ideal") for pair in ALL_PAIRS)
+
+
+def test_integer_scans_match_deciders_on_grid_vectors():
+    # the witness hunts decide v / grid as 2v over base 2 * grid; every
+    # bound is homogeneous in (grades, base), so that agrees with the public
+    # decider on the Fraction subset, whose own base is 2 * lcm(2, denominators)
+    cases = [(s, grid) for n, k in ((1, 1), (1, 2), (2, 1), (2, 2))
+             for s in exhaustive(n, k) for grid in (1, 2, 3, 4)]
+    cases += [(s, 2) for s in exhaustive(3, 2)[::40]]
+    resolved = [_resolve_predicate(name) for name in SCANNED_NAMES]
+    outcomes = set()
+    for s, grid in cases:
+        for vec in product(range(grid + 1), repeat=s.n):
+            if not any(vec):
+                continue
+            mu = FuzzySubset(s, tuple(F(v, grid) for v in vec))
+            g = [v + v for v in vec]
+            for name, (decide, scan) in zip(SCANNED_NAMES, resolved):
+                holds = decide(mu).holds
+                assert (scan(s, g, 2 * grid) is None) == holds, (name, s.cayley, vec)
+                outcomes.add((name, holds))
+    assert outcomes == {(name, holds) for name in SCANNED_NAMES for holds in (False, True)}

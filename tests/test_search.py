@@ -14,6 +14,7 @@ from gsfuzz import (
     validate_structure,
 )
 from gsfuzz.errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
+from gsfuzz.predicates import _resolve_predicate
 from gsfuzz.search import (
     GeneratorConfig,
     SplitMix64,
@@ -172,6 +173,11 @@ def test_grid_below_one_is_a_value_error(ex34):
             find_witness([s], "eq_subsemigroup", grid)
         with pytest.raises(ValueError, match="grid >= 1"):
             find_witness([s], "union_of_two_eq_subsemigroups", grid)
+        # refused at the call, before any structure is drawn
+        with pytest.raises(ValueError, match="grid >= 1"):
+            find_witness([], "eq_subsemigroup", grid)
+        with pytest.raises(ValueError, match="grid >= 1"):
+            find_witness([], "union_of_two_eq_subsemigroups", grid)
     with pytest.raises(ValueError, match="count >= 0"):
         sample_eq_bi_ideals(s, -3, 1)
     assert sample_eq_bi_ideals(s, 0, 1) == []
@@ -208,11 +214,12 @@ def test_bi_ideals_subset_of_subsemigroups():
 def _truth_table(want):
     """The compiled test under all 8 assignments of its three atoms."""
     test, _ = parse_want(want)
-    names = ("is_eq_subsemigroup", "is_fuzzy_subsemigroup", "is_eq_bi_ideal")
+    names = ("eq_subsemigroup", "fuzzy_subsemigroup", "eq_bi_ideal")
+    scans = [_resolve_predicate(name)[1] for name in names]
     table = []
     for values in product((False, True), repeat=3):
-        value = dict(zip(names, values))
-        table.append(test(lambda decide, pair: value[decide.__name__]))
+        value = dict(zip(scans, values))
+        table.append(test(lambda scan, pair: value[scan]))
     return table
 
 
