@@ -12,9 +12,10 @@ indices on construction and all computation below is index-based.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -68,6 +69,17 @@ class GammaSemigroup:
     @cached_property
     def gamma_index(self) -> dict:
         return {name: i for i, name in enumerate(self.gammas)}
+
+    @cached_property
+    def iso_invariant(self) -> tuple:
+        """Sorted per-element tuples, over the gammas by name, of (x g x == x,
+        how many products a g b equal x); isomorphic structures share it."""
+        order = sorted(range(self.k), key=self.gammas.__getitem__)
+        counts = [Counter(w for planes in self.cayley for w in planes[g]) for g in order]
+        return tuple(sorted(
+            tuple((self.cayley[x][g][x] == x, c[x]) for g, c in zip(order, counts))
+            for x in range(self.n)
+        ))
 
     def subset_of_names(self, names: Iterable[str]) -> CrispSubset:
         return frozenset(self.element_index[name] for name in names)
@@ -328,14 +340,30 @@ def _hom_failure(
 def enumerate_homomorphisms(
     source: GammaSemigroup, target: GammaSemigroup, surjective_only: bool = False
 ) -> list[Homomorphism]:
-    """Brute-force all (optionally surjective) homomorphisms source -> target."""
+    """All (optionally only the surjective) homomorphisms source -> target,
+    in lexicographic order of their mappings.
+
+    All m^n maps are tested, or with surjective_only only the surjections:
+    none when m > n; when m == n the n! permutations, or none when the
+    structures differ in iso_invariant; else the maps onto all m elements.
+    Different gamma identifier sets give [] (validate_homomorphism raises
+    GammaMismatch instead).
+    """
     if set(source.gammas) != set(target.gammas):
         return []
-    m, cube, target_cube = target.n, source.cayley, target.cayley
+    n, m = source.n, target.n
+    if not surjective_only:
+        maps = product(range(m), repeat=n)
+    elif m < n:
+        maps = (f for f in product(range(m), repeat=n) if len(set(f)) == m)
+    elif m == n and source.iso_invariant == target.iso_invariant:
+        maps = permutations(range(m))
+    else:
+        return []
+    cube, target_cube = source.cayley, target.cayley
     tg = [target.gamma_index[name] for name in source.gammas]
     return [
         Homomorphism(source, target, mapping)
-        for mapping in product(range(m), repeat=source.n)
-        if (not surjective_only or len(set(mapping)) == m)
-        and _hom_failure(cube, target_cube, tg, mapping) is None
+        for mapping in maps
+        if _hom_failure(cube, target_cube, tg, mapping) is None
     ]

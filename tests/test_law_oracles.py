@@ -5,14 +5,16 @@ in the library; these tests compare that checker, through every public
 entry point, with literal full scans from oracles.py: the witness and both
 evaluations of validate_structure on seeded random cubes (mostly not
 associative), the witness of validate_homomorphism on seeded maps, the
-maps enumerate_homomorphisms returns in both modes, and is_regular,
-is_intra_regular and is_bi_ideal over every structure with n <= 3, k <= 2.
-Targets also appear with their gamma symbols listed in reverse, so the law
-must match operations by name.
+maps enumerate_homomorphisms returns in both modes (surjective mode also
+at n = 3, where it tests permutations only between structures that share
+iso_invariant), and is_regular, is_intra_regular and is_bi_ideal over every
+structure with n <= 3, k <= 2.  Targets also appear with their gamma symbols
+listed in reverse, so the law must match operations by name.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -22,7 +24,7 @@ from gsfuzz.errors import AssociativityViolation, HomomorphismViolation
 from gsfuzz.search import SplitMix64
 from gsfuzz.structure import _nonempty_subsets, is_bi_ideal, is_intra_regular, is_regular
 
-from corpus import exhaustive
+from corpus import _seeded_permutation, exhaustive, relabel
 from oracles import (
     bi_ideal_by_definition,
     first_assoc_failure,
@@ -108,6 +110,43 @@ def test_enumerate_homomorphisms_matches_oracle():
     assert found
     one, two = exhaustive(2, 1)[0], exhaustive(2, 2)[0]
     assert enumerate_homomorphisms(one, two) == []
+
+
+def _seeded_slice(structures: list, rng: SplitMix64, draws: int) -> list:
+    return [structures[i] for i in sorted({rng.below(len(structures)) for _ in range(draws)})]
+
+
+def test_surjective_homomorphisms_match_oracle_at_n3():
+    drawn = _seeded_slice(exhaustive(3, 2), SplitMix64(33), 12)
+    outcomes = Counter()
+    for pool in (_pool(3, 1), drawn + [_gammas_reversed(s) for s in drawn]):
+        for source, target in product(pool, pool):
+            expected = [
+                m for m in product(range(target.n), repeat=source.n)
+                if len(set(m)) == target.n and first_hom_failure(source, target, m) is None
+            ]
+            got = enumerate_homomorphisms(source, target, True)
+            assert [h.mapping for h in got] == expected, (source.cayley, target.cayley)
+            if source.n == target.n == 3:
+                shared = source.iso_invariant == target.iso_invariant
+                outcomes[shared, bool(expected)] += 1
+    # The invariant rejects pairs, and some pairs that share it still have
+    # no isomorphism, so the permutation scan is exercised both ways.
+    assert outcomes[False, False] and outcomes[True, False] and outcomes[True, True]
+
+
+def test_isomorphic_copies_keep_their_relabelling():
+    rng = SplitMix64(34)
+    for s in exhaustive(3, 1) + _seeded_slice(exhaustive(3, 2), rng, 100):
+        perm, reversed_ = _seeded_permutation(rng, s.n), _gammas_reversed(s)
+        copies = (
+            (relabel(s, perm), perm),
+            (reversed_, tuple(range(s.n))),
+            (relabel(reversed_, perm), perm),
+        )
+        for copy, mapping in copies:
+            found = [h.mapping for h in enumerate_homomorphisms(s, copy, True)]
+            assert mapping in found, (s.cayley, copy.gammas, mapping)
 
 
 def test_regularity_and_bi_ideals_match_oracle():
