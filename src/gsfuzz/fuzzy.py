@@ -90,8 +90,13 @@ class FuzzyPoint:
     def __post_init__(self):
         if isinstance(self.value, float):
             raise InvalidGrade(f"float point value {self.value!r} is inexact; pass a Fraction")
-        if not ZERO < self.value <= ONE:
-            raise InvalidGrade(f"point value {self.value} outside (0,1]")
+        try:
+            value = Fraction(self.value)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise InvalidGrade(f"not an exact rational: {self.value!r}") from exc
+        if not ZERO < value <= ONE:
+            raise InvalidGrade(f"point value {value} outside (0,1]")
+        object.__setattr__(self, "value", value)  # past the frozen __setattr__
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,10 @@ def _same_structure(*subsets: FuzzySubset) -> GammaSemigroup:
 
 def point_satisfies(point: FuzzyPoint, mu: FuzzySubset, rel: PointRelation) -> bool:
     """x_t in mu iff mu(x) >= t; x_t q mu iff mu(x) + t > 1; or/and combine."""
-    if not 0 <= point.support < mu.structure.n:
-        raise UnknownElement(f"element index {point.support} out of range")
-    g, t = mu.grades[point.support], point.value
+    x = point.support
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < mu.structure.n:
+        raise UnknownElement(f"element index {x!r} out of range")
+    g, t = mu.grades[x], point.value
     belongs = g >= t
     quasi = g + t > ONE
     if rel.kind is RelKind.IN:

@@ -1,8 +1,8 @@
 """Decision procedures for the fuzzy subsemigroup/ideal predicates.
 
-Every decider is one scan over all products: on integer-scaled grades, the
-product w of x and z passes when key[w] >= bounds[x][z].  A decider only
-picks its key and bounds: the plain and (in, in-or-q) closed forms are the
+Every predicate is one scan over all products: on integer-scaled grades, the
+product w of x and z passes when key[w] >= bounds[x][z].  A scan only picks
+its key and bounds: the plain and (in, in-or-q) closed forms are the
 (in, in) and (in, invq) bounds, the one-sided ideals a bound on one factor,
 and the generic (alpha, beta) decider the bound of its pair, which
 quantifies over all point values t, r in (0,1].  On a failure one pass over
@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 from .errors import EmptyFuzzySubset, InvalidAlpha, UnknownPredicateName
@@ -98,6 +97,17 @@ class AlphaBetaPair:
             raise InvalidAlpha(f"expected 'ALPHA,BETA', got {text!r}")
         return cls(PointRelation.parse(alpha), PointRelation.parse(beta))
 
+    # The scans of the pair's closed form (see the note above _first_failure)
+    # in subsemigroup and bi-ideal form; as bound methods they cost a decider
+    # call less than a closure built on each call.
+    def _sub_scan(self, s, g: Sequence[int], base: int) -> tuple | None:
+        key, bounds = _product_bounds(self, g, base)
+        return _first_failure(s, key, bounds, False)
+
+    def _bi_scan(self, s, g: Sequence[int], base: int) -> tuple | None:
+        key, bounds = _product_bounds(self, g, base)
+        return _first_failure(s, key, bounds, True)
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -126,26 +136,23 @@ _TRUE = PredicateVerdict(True)
 _IN_IN, _IN_INVQ = AlphaBetaPair(IN, IN), AlphaBetaPair(IN, IN_OR_Q)
 
 
-def _scaled_grades(mu: FuzzySubset) -> tuple[tuple[int, ...], int]:
-    """fuzzy._scaled, refusing the zero fuzzy subset."""
-    scaled, base = _scaled(mu)
-    if not any(scaled):
-        raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
-    return scaled, base
-
-
-# Every decider is one scan.  On mu's grades scaled to a common even base B
-# (H = B // 2 is 1/2), the product w of x and z passes when
+# Every predicate is one scan.  On mu's grades g scaled to a common even base
+# B (H = B // 2 is 1/2), the product w of x and z passes when
 # key[w] >= bounds[x][z], where w = x gamma y (z = y) in the pair shape and
 # w = x a y b z in the sandwich; a bound of 0 makes the product vacuous.  A
-# decider only picks key and bounds.  The key is the scaled grade, and the
-# bound of a = mu(x), c = mu(z) is 0 unless a, c > 0, and then: min(a, c) for
-# (in,in), the plain forms; min(a, c, H) for (in,invq), the (in, in-or-q)
-# forms; max(a, c) for (q,q); min(max(a, c), H) for (q,invq) and (invq,invq);
-# B for the seven other pairs.  The one-sided ideals bound by min(c, H)
-# (left) or min(a, H) (right) alone.  Negated beta is the dual: x_t not-beta
-# mu iff x_t beta* 1-mu, beta* swapping in/q and invq/inandq, so
-# (alpha, not-beta) decides as (alpha, beta*) on key(w) = B - mu(w).
+# scan only picks key and bounds: scan(s, g, B) is the first failure
+# _first_failure returns, or None exactly when the predicate holds, and
+# _decide builds the verdict from it.  Every bound is homogeneous in (g, B),
+# so the witness hunts and the bi-ideal sampler scan a vector v of the
+# d-grid as 2v over base 2d, with no FuzzySubset.  The key is the scaled
+# grade, and the bound of a = mu(x), c = mu(z) is 0 unless a, c > 0, and
+# then: min(a, c) for (in,in), the plain forms; min(a, c, H) for (in,invq),
+# the (in, in-or-q) forms; max(a, c) for (q,q); min(max(a, c), H) for
+# (q,invq) and (invq,invq); B for the seven other pairs.  The one-sided
+# ideals bound by min(c, H) (left) or min(a, H) (right) alone.  Negated beta
+# is the dual: x_t not-beta mu iff x_t beta* 1-mu, beta* swapping in/q and
+# invq/inandq, so (alpha, not-beta) decides as (alpha, beta*) on
+# key(w) = B - mu(w).
 #
 # Tests pin each (alpha, beta) bound to the cell sampler, _failing_cell,
 # which also picks the (t, r) of the witness on the first failing product.
@@ -189,61 +196,6 @@ def _first_failure(s, key: Sequence[int], bounds: list, bi: bool) -> tuple | Non
                             if key[w := v[b][z]] < u:
                                 return (x, y, a, z, b), z, w
     return None
-
-
-def _closed_form(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
-    g, base = _scaled_grades(mu)
-    return _verdict(_first_failure(mu.structure, *_product_bounds(pair, g, base), bi))
-
-
-def _verdict(failure) -> PredicateVerdict:
-    return _TRUE if failure is None else PredicateVerdict(False, Witness(*failure[0]))
-
-
-def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
-    """mu(x g y) >= min(mu(x), mu(y)) for all x, y, g."""
-    return _closed_form(mu, _IN_IN, False)
-
-
-def is_fuzzy_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
-    """Fuzzy subsemigroup with mu(x a y b z) >= min(mu(x), mu(z))."""
-    return _closed_form(mu, _IN_IN, True)
-
-
-def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
-    """mu(x g y) >= min(mu(x), mu(y), 1/2) for all x, y, g.
-
-    Pairs outside the support are vacuous (the bound is 0 there), so this is
-    the closed form of the (in, in-or-q) subsemigroup predicate.
-    """
-    return _closed_form(mu, _IN_INVQ, False)
-
-
-def is_eq_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
-    """is_eq_subsemigroup plus mu(x a y b z) >= min(mu(x), mu(z), 1/2)."""
-    return _closed_form(mu, _IN_INVQ, True)
-
-
-def _one_sided_bounds(g: Sequence[int], base: int, left: bool) -> list:
-    """bounds[x][y] of the left (min(mu(y), 1/2)) or right (min(mu(x), 1/2))
-    ideal, for the scaled grades g."""
-    half = base // 2
-    c = [v if v < half else half for v in g]
-    return [c] * len(c) if left else [[v] * len(c) for v in c]
-
-
-def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
-    """Left: mu(x g y) >= min(mu(y), 1/2).  Right: >= min(mu(x), 1/2)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    g, base = _scaled_grades(mu)
-    bounds = _one_sided_bounds(g, base, side == "left")
-    return _verdict(_first_failure(mu.structure, g, bounds, False))
-
-
-def is_eq_ideal(mu: FuzzySubset) -> PredicateVerdict:
-    left = is_eq_one_sided_ideal(mu, "left")
-    return is_eq_one_sided_ideal(mu, "right") if left.holds else left
 
 
 def subset_or_q(nu: FuzzySubset, mu: FuzzySubset) -> bool:
@@ -319,16 +271,85 @@ def _product_bounds(
     return key, [[a if a < b else b for b in c] for a in c]
 
 
-def _alpha_beta_scan(mu: FuzzySubset, pair: AlphaBetaPair, bi: bool) -> PredicateVerdict:
-    """The first failing product, refuted at its first failing cell (t, r)."""
-    g, base = _scaled_grades(mu)
-    key, bounds = _product_bounds(pair, g, base)
-    failure = _first_failure(mu.structure, key, bounds, bi)
+def _one_sided_scan(left: bool) -> Callable:
+    """The scan of the left or the right (in, in-or-q) ideal: x gamma y is
+    bounded by min(mu(y), 1/2) or by min(mu(x), 1/2)."""
+
+    def scan(s, g, base):
+        half = base // 2
+        c = [v if v < half else half for v in g]
+        bounds = [c] * len(c) if left else [[v] * len(c) for v in c]
+        return _first_failure(s, g, bounds, False)
+
+    return scan
+
+
+_LEFT, _RIGHT = _one_sided_scan(True), _one_sided_scan(False)
+
+# name -> scan; the (alpha, beta) names resolve by pattern
+_SCANS = {
+    "fuzzy-subsemigroup": _IN_IN._sub_scan,
+    "fuzzy-bi-ideal": _IN_IN._bi_scan,
+    "eq-subsemigroup": _IN_INVQ._sub_scan,
+    "eq-bi-ideal": _IN_INVQ._bi_scan,
+    "eq-left-ideal": _LEFT,
+    "eq-right-ideal": _RIGHT,
+    "eq-ideal": lambda s, g, base: _LEFT(s, g, base) or _RIGHT(s, g, base),
+}
+_A, _B, _FORM = "(in|q|invq)", "((?:not-)?(?:in|q|invq|inandq))", "(subsemigroup|bi-ideal)"
+
+
+def _decide(mu: FuzzySubset, scan: Callable, pair: AlphaBetaPair | None = None) -> PredicateVerdict:
+    """The verdict of scan on mu's scaled grades, refusing the zero fuzzy
+    subset; with an (alpha, beta) pair, the witness also carries the first
+    failing cell (t, r) of the first failing product."""
+    g, base = _scaled(mu)
+    if not any(g):
+        raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
+    failure = scan(mu.structure, g, base)
     if failure is None:
         return _TRUE
     where, z, w = failure
+    if pair is None:
+        return PredicateVerdict(False, Witness(*where))
     t, r = _failing_cell(pair, base, g[where[0]], g[z], g[w])
     return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
+
+
+def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
+    """mu(x g y) >= min(mu(x), mu(y)) for all x, y, g."""
+    return _decide(mu, _SCANS["fuzzy-subsemigroup"])
+
+
+def is_fuzzy_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
+    """Fuzzy subsemigroup with mu(x a y b z) >= min(mu(x), mu(z))."""
+    return _decide(mu, _SCANS["fuzzy-bi-ideal"])
+
+
+def is_eq_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:
+    """mu(x g y) >= min(mu(x), mu(y), 1/2) for all x, y, g.
+
+    Pairs outside the support are vacuous (the bound is 0 there), so this is
+    the closed form of the (in, in-or-q) subsemigroup predicate.
+    """
+    return _decide(mu, _SCANS["eq-subsemigroup"])
+
+
+def is_eq_bi_ideal(mu: FuzzySubset) -> PredicateVerdict:
+    """is_eq_subsemigroup plus mu(x a y b z) >= min(mu(x), mu(z), 1/2)."""
+    return _decide(mu, _SCANS["eq-bi-ideal"])
+
+
+def is_eq_one_sided_ideal(mu: FuzzySubset, side: str) -> PredicateVerdict:
+    """Left: mu(x g y) >= min(mu(y), 1/2).  Right: >= min(mu(x), 1/2)."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return _decide(mu, _LEFT if side == "left" else _RIGHT)
+
+
+def is_eq_ideal(mu: FuzzySubset) -> PredicateVerdict:
+    """Left and right (in, in-or-q) ideal; a failing left scan is the witness."""
+    return _decide(mu, _SCANS["eq-ideal"])
 
 
 def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
@@ -338,51 +359,18 @@ def is_alpha_beta_subsemigroup(mu: FuzzySubset, pair: AlphaBetaPair) -> Predicat
     above _first_failure); the witness carries the first failing cell (t, r)
     of the first failing product.
     """
-    return _alpha_beta_scan(mu, pair, bi=False)
+    return _decide(mu, pair._sub_scan, pair)
 
 
 def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVerdict:
     """The subsemigroup predicate plus its triple form on x_t, z_r."""
-    return _alpha_beta_scan(mu, pair, bi=True)
+    return _decide(mu, pair._bi_scan, pair)
 
 
-# A scan decides a predicate on grades g scaled to an even base (1/2 is
-# base // 2), with no FuzzySubset: scan(s, g, base) is the first failing
-# product as _first_failure gives it, or None exactly when the predicate
-# holds.  Every bound above is homogeneous in (g, base), so any positive
-# rescaling of the grades and base gives the same verdict; the witness hunts
-# scan grid vectors v over base grid as 2v over 2 * grid.
-
-
-def _closed_scan(pair: AlphaBetaPair, bi: bool) -> Callable:
-    """The scan of pair's closed form, in subsemigroup or (bi) bi-ideal form."""
-    return lambda s, g, base: _first_failure(s, *_product_bounds(pair, g, base), bi)
-
-
-def _one_sided_scan(left: bool) -> Callable:
-    """The scan of the left or the right (in, in-or-q) ideal."""
-    return lambda s, g, base: _first_failure(s, g, _one_sided_bounds(g, base, left), False)
-
-
-_LEFT, _RIGHT = _one_sided_scan(True), _one_sided_scan(False)
-
-# name -> (public decider, scan); the (alpha, beta) names resolve by pattern
-_NAMED = {
-    "fuzzy-subsemigroup": (is_fuzzy_subsemigroup, _closed_scan(_IN_IN, False)),
-    "fuzzy-bi-ideal": (is_fuzzy_bi_ideal, _closed_scan(_IN_IN, True)),
-    "eq-subsemigroup": (is_eq_subsemigroup, _closed_scan(_IN_INVQ, False)),
-    "eq-bi-ideal": (is_eq_bi_ideal, _closed_scan(_IN_INVQ, True)),
-    "eq-left-ideal": (partial(is_eq_one_sided_ideal, side="left"), _LEFT),
-    "eq-right-ideal": (partial(is_eq_one_sided_ideal, side="right"), _RIGHT),
-    "eq-ideal": (is_eq_ideal, lambda s, g, base: _LEFT(s, g, base) or _RIGHT(s, g, base)),
-}
-_AB_FORMS = {"subsemigroup": is_alpha_beta_subsemigroup, "bi-ideal": is_alpha_beta_bi_ideal}
-_A, _B, _FORM = "(in|q|invq)", "((?:not-)?(?:in|q|invq|inandq))", "(subsemigroup|bi-ideal)"
-
-
-def _resolve_predicate(name: str) -> tuple[Callable[[FuzzySubset], PredicateVerdict], Callable]:
-    """The decider a predicate name stands for, and its scan; '_' and '-'
-    spell alike.
+def _resolve_predicate(name: str) -> tuple[Callable, AlphaBetaPair | None]:
+    """The scan a predicate name stands for and its (alpha, beta) pair, None
+    for the seven named forms: check_by_name is _decide(mu, scan, pair).
+    '_' and '-' spell alike.
 
     Names, lower case only: fuzzy-subsemigroup, fuzzy-bi-ideal,
     eq-subsemigroup, eq-bi-ideal, eq-left-ideal, eq-right-ideal, eq-ideal,
@@ -391,8 +379,8 @@ def _resolve_predicate(name: str) -> tuple[Callable[[FuzzySubset], PredicateVerd
     B one of in, q, invq, inandq, optionally not- negated.
     """
     spelled = name.replace("_", "-")
-    if spelled in _NAMED:
-        return _NAMED[spelled]
+    if spelled in _SCANS:
+        return _SCANS[spelled], None
     if m := re.fullmatch(f"ab-{_FORM}:{_A},{_B}", spelled):
         form, alpha, beta = m.groups()
     elif m := re.fullmatch(f"{_A}-{_B}-{_FORM}", spelled):
@@ -400,9 +388,9 @@ def _resolve_predicate(name: str) -> tuple[Callable[[FuzzySubset], PredicateVerd
     else:
         raise UnknownPredicateName(f"unknown predicate name {name!r}")
     pair = AlphaBetaPair.parse(f"{alpha},{beta}")
-    return partial(_AB_FORMS[form], pair=pair), _closed_scan(pair, form == "bi-ideal")
+    return (pair._bi_scan if form == "bi-ideal" else pair._sub_scan), pair
 
 
 def check_by_name(name: str, mu: FuzzySubset) -> PredicateVerdict:
     """Decide the named predicate for mu (names as in _resolve_predicate)."""
-    return _resolve_predicate(name)[0](mu)
+    return _decide(mu, *_resolve_predicate(name))

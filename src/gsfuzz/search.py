@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
 from .fuzzy import FuzzySubset
-from .predicates import _resolve_predicate, is_eq_bi_ideal
+from .predicates import _resolve_predicate
 from .structure import Cube, GammaSemigroup, _assoc_failure, validate_structure
 
 MASK64 = (1 << 64) - 1
@@ -175,29 +175,29 @@ def _grid_vectors(n: int, grid: int) -> Iterator[tuple[int, ...]]:
     return islice(product(range(grid + 1), repeat=n), 1, None)  # past the zero vector
 
 
-def _grid_subset(s: GammaSemigroup, vec: tuple[int, ...], grid: int) -> FuzzySubset:
-    """The fuzzy subset with grades vec / grid."""
-    return FuzzySubset(s, tuple(Fraction(v, grid) for v in vec))
+def _grid_subsets(s: GammaSemigroup, vecs: Iterable, grid: int) -> Iterator[FuzzySubset]:
+    """The fuzzy subset with grades v / grid for each vector v of vecs, read
+    from one list of the grid's Fractions (a Fraction per grade is slower)."""
+    steps = [Fraction(v, grid) for v in range(grid + 1)]
+    return (FuzzySubset(s, tuple(steps[x] for x in v)) for v in vecs)
 
 
 def grid_subsets(structure: GammaSemigroup, grid: int) -> Iterator[FuzzySubset]:
     """All non-zero fuzzy subsets with grades in {0, 1/d, ..., 1}, lex order."""
-    return (_grid_subset(structure, vec, grid) for vec in _grid_vectors(structure.n, grid))
+    return _grid_subsets(structure, _grid_vectors(structure.n, grid), grid)
 
 
-def _grid_draws(n: int, grid: int, seed: int) -> Iterator[tuple[Fraction, ...]]:
-    """Endless seeded grade vectors on the d-grid, the zero vector included."""
+def _grid_draws(n: int, grid: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """Endless seeded vectors of {0, ..., grid}^n, the zero vector included."""
     rng = SplitMix64(seed)
-    steps = [Fraction(v, grid) for v in range(grid + 1)]
     while True:
-        yield tuple(steps[rng.below(grid + 1)] for _ in range(n))
+        yield tuple(rng.below(grid + 1) for _ in range(n))
 
 
 def random_fuzzy(structure: GammaSemigroup, config: GeneratorConfig) -> Iterator[FuzzySubset]:
     """Seeded stream of non-zero fuzzy subsets with grades on the d-grid."""
     draws = _grid_draws(structure.n, config.grid, config.seed)
-    for vec in islice((vec for vec in draws if any(vec)), config.count):
-        yield FuzzySubset(structure, vec)
+    return _grid_subsets(structure, islice(filter(any, draws), config.count), config.grid)
 
 
 def sample_eq_bi_ideals(
@@ -205,14 +205,16 @@ def sample_eq_bi_ideals(
 ) -> list[FuzzySubset]:
     """Up to `count` seeded random (in, in-or-q)-fuzzy bi-ideals.
 
-    Rejection-filters seeded grid draws; may return fewer than `count` if
-    the cap of 400 draws per requested sample runs out.
+    Rejection-filters seeded grid draws v, deciding each by the eq-bi-ideal
+    scan on 2v over base 2 * grid; may return fewer than `count` if the cap
+    of 400 draws per requested sample runs out.
     """
     if grid < 1 or count < 0:
         raise ValueError("need grid >= 1, count >= 0")
+    scan, base = _resolve_predicate("eq-bi-ideal")[0], 2 * grid
     draws = islice(_grid_draws(structure.n, grid, seed), 400 * max(count, 1))
-    subsets = (FuzzySubset(structure, vec) for vec in draws if any(vec))
-    return list(islice((mu for mu in subsets if is_eq_bi_ideal(mu).holds), count))
+    kept = (v for v in draws if any(v) and scan(structure, [x + x for x in v], base) is None)
+    return list(_grid_subsets(structure, islice(kept, count), grid))
 
 
 # ---------------------------------------------------------- witness search
@@ -229,9 +231,9 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
     term := fact (AND fact)*; fact := NOT fact | ( expr ) | NAME.
 
     test(lookup) is the expression's truth value, with chains short-circuited
-    left to right; lookup(scan, pair) is an atom's, for the scan of its
-    (unary) predicate, see predicates._resolve_predicate, and whether it is a
-    pair predicate.  pair_mode: some atom is a pair predicate.
+    left to right; lookup(scan, pair) is an atom's, for its (unary)
+    predicate's scan, predicates._resolve_predicate(name)[0], and whether it
+    is a pair predicate.  pair_mode: some atom is a pair predicate.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
     pair_mode = False
@@ -250,7 +252,7 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
                 raise UnknownPredicateName("missing closing parenthesis")
             return e
         unary = _PAIR_PREDICATES.get(tok.replace("-", "_"))
-        scan, is_pair = _resolve_predicate(unary or tok)[1], unary is not None
+        scan, is_pair = _resolve_predicate(unary or tok)[0], unary is not None
         pair_mode = pair_mode or is_pair
         return lambda lookup: lookup(scan, is_pair)
 
@@ -308,7 +310,8 @@ def find_witness(
                 n_sub += 1
                 g = [v + v for v in vec]
                 if test(lambda scan, pair: scan(s, g, base) is None):
-                    return WitnessSearch(True, s, (_grid_subset(s, vec, grid),), n_struct, n_sub)
+                    subsets = tuple(_grid_subsets(s, [vec], grid))
+                    return WitnessSearch(True, s, subsets, n_struct, n_sub)
         else:
             # Each (atom, grid vector) is decided at most once per structure,
             # and the union of two grid vectors is found by its index.
@@ -332,6 +335,6 @@ def find_witness(
                     n_sub += 1
                     u = where[tuple(map(max, v1, v2))]
                     if test(lookup):
-                        subsets = tuple(_grid_subset(s, vecs[x], grid) for x in (i, j, u))
+                        subsets = tuple(_grid_subsets(s, [vecs[i], vecs[j], vecs[u]], grid))
                         return WitnessSearch(True, s, subsets, n_struct, n_sub)
     return WitnessSearch(False, None, (), n_struct, n_sub)

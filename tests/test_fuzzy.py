@@ -99,6 +99,25 @@ def test_point_satisfies_unknown_element(ex34):
     assert str(exc.value) == "float point value 0.1 is inexact; pass a Fraction"
 
 
+def test_point_support_and_value_are_checked(ex34):
+    # a bool is an int but no element index; a non-int support is no index
+    mu = ex34.fuzzy["mu"]
+    for support in (True, False, "a", 1.0, None):
+        with pytest.raises(UnknownElement) as exc:
+            point_satisfies(FuzzyPoint(support, HALF), mu, IN)
+        assert str(exc.value) == f"element index {support!r} out of range"
+    for value in ("x", "1/0", None, [1]):
+        with pytest.raises(InvalidGrade) as exc:
+            FuzzyPoint(0, value)
+        assert str(exc.value) == f"not an exact rational: {value!r}"
+    # what Fraction reads is the point value it stands for
+    assert FuzzyPoint(0, "1/2") == FuzzyPoint(0, HALF)
+    assert FuzzyPoint(2, 1).value == ONE and type(FuzzyPoint(2, 1).value) is F
+    assert point_satisfies(FuzzyPoint(0, "1/2"), mu, IN)
+    with pytest.raises(InvalidGrade, match=r"point value 3/2 outside \(0,1\]"):
+        FuzzyPoint(0, "3/2")
+
+
 def test_level_sets_examples(ex34, ex46):
     s = ex34.structure
     ls = level_sets(ex34.fuzzy["mu"], F(3, 5))

@@ -471,15 +471,27 @@ def test_check_by_name_dispatch(ex46):
         check_by_name("nonsense", mu)
 
 
-def test_predicate_names_accept_both_spellings(ex34, ex46):
-    named = [
-        "fuzzy-subsemigroup", "fuzzy-bi-ideal", "eq-subsemigroup", "eq-bi-ideal",
-        "eq-left-ideal", "eq-right-ideal", "eq-ideal",
-    ]
+def test_predicate_names_accept_both_spellings(ex34, ex46, ex427):
+    named = {
+        "fuzzy-subsemigroup": is_fuzzy_subsemigroup,
+        "fuzzy-bi-ideal": is_fuzzy_bi_ideal,
+        "eq-subsemigroup": is_eq_subsemigroup,
+        "eq-bi-ideal": is_eq_bi_ideal,
+        "eq-left-ideal": partial(is_eq_one_sided_ideal, side="left"),
+        "eq-right-ideal": partial(is_eq_one_sided_ideal, side="right"),
+        "eq-ideal": is_eq_ideal,
+    }
+    outcomes = set()
+    for f in (ex34, ex46, ex427):
+        for mu in [f.fuzzy["mu"], *_samples(f.structure, seed=13, count=12)]:
+            for name, decide in named.items():
+                verdict = decide(mu)
+                assert check_by_name(name, mu) == verdict, (name, mu.grades)
+                assert check_by_name(name.replace("-", "_"), mu) == verdict
+                outcomes.add((name, verdict.holds))
+    assert outcomes == {(name, holds) for name in named for holds in (False, True)}
     for f in (ex34, ex46):
         mu = f.fuzzy["mu"]
-        for name in named:
-            assert check_by_name(name, mu) == check_by_name(name.replace("-", "_"), mu)
         for a in ALPHAS:
             for b in BETAS:
                 pair = AlphaBetaPair.parse(f"{a},{b}")
@@ -490,7 +502,6 @@ def test_predicate_names_accept_both_spellings(ex34, ex46):
                 assert check_by_name(f"ab-bi-ideal:{a},{b}", mu) == bi
                 assert check_by_name(f"{a}_{b}_bi_ideal", mu) == bi
     mu = ex46.fuzzy["mu"]
-    assert check_by_name("eq-ideal", mu) == is_eq_ideal(mu)
     with pytest.raises(UnknownPredicateName):
         check_by_name("union_of_two_eq_subsemigroups", mu)
     hyphen = find_witness([ex46.structure], "ab-bi-ideal:in,q AND NOT eq-ideal", 2)
@@ -510,12 +521,12 @@ SCANNED_NAMES = (
 
 def test_integer_scans_match_deciders_on_grid_vectors():
     # the witness hunts decide v / grid as 2v over base 2 * grid; every
-    # bound is homogeneous in (grades, base), so that agrees with the public
-    # decider on the Fraction subset, whose own base is 2 * lcm(2, denominators)
+    # bound is homogeneous in (grades, base), so that agrees with check_by_name
+    # on the Fraction subset, whose own base is 2 * lcm(2, denominators)
     cases = [(s, grid) for n, k in ((1, 1), (1, 2), (2, 1), (2, 2))
              for s in exhaustive(n, k) for grid in (1, 2, 3, 4)]
     cases += [(s, 2) for s in exhaustive(3, 2)[::40]]
-    resolved = [_resolve_predicate(name) for name in SCANNED_NAMES]
+    scans = [_resolve_predicate(name)[0] for name in SCANNED_NAMES]
     outcomes = set()
     for s, grid in cases:
         for vec in product(range(grid + 1), repeat=s.n):
@@ -523,8 +534,8 @@ def test_integer_scans_match_deciders_on_grid_vectors():
                 continue
             mu = FuzzySubset(s, tuple(F(v, grid) for v in vec))
             g = [v + v for v in vec]
-            for name, (decide, scan) in zip(SCANNED_NAMES, resolved):
-                holds = decide(mu).holds
+            for name, scan in zip(SCANNED_NAMES, scans):
+                holds = check_by_name(name, mu).holds
                 assert (scan(s, g, 2 * grid) is None) == holds, (name, s.cayley, vec)
                 outcomes.add((name, holds))
     assert outcomes == {(name, holds) for name in SCANNED_NAMES for holds in (False, True)}
