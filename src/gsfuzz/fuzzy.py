@@ -35,6 +35,8 @@ def as_grade(value: GradeLike) -> Fraction:
     """Coerce to an exact Fraction in [0,1]; decimals parse exactly."""
     if isinstance(value, float):  # 0.1 is 3602879701896397/2**55, not 1/10
         raise InvalidGrade(f"float grade {value!r} is inexact; pass a str, int or Fraction")
+    if isinstance(value, bool):  # bool is an int: True would read as the grade 1
+        raise InvalidGrade(f"bool grade {value!r}; pass a str, int or Fraction")
     try:
         g = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -90,6 +92,8 @@ class FuzzyPoint:
     def __post_init__(self):
         if isinstance(self.value, float):
             raise InvalidGrade(f"float point value {self.value!r} is inexact; pass a Fraction")
+        if isinstance(self.value, bool):
+            raise InvalidGrade(f"bool point value {self.value!r}; pass a Fraction")
         try:
             value = Fraction(self.value)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -180,6 +184,8 @@ class LevelSets:
 def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
     if isinstance(t, float):
         raise InvalidThreshold(f"float threshold {t!r} is inexact; pass a str, int or Fraction")
+    if isinstance(t, bool):
+        raise InvalidThreshold(f"bool threshold {t!r}; pass a str, int or Fraction")
     t = Fraction(t)
     if not ZERO < t <= ONE:
         raise InvalidThreshold(f"threshold {t} outside (0,1]")

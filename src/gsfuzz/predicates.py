@@ -1,10 +1,11 @@
 """Decision procedures for the fuzzy subsemigroup/ideal predicates.
 
-Every predicate is one scan over all products: on integer-scaled grades, the
-product w of x and z passes when key[w] >= bounds[x][z].  A scan only picks
-its key and bounds: the plain and (in, in-or-q) closed forms are the
-(in, in) and (in, invq) bounds, the one-sided ideals a bound on one factor,
-and the generic (alpha, beta) decider the bound of its pair, which
+Every predicate is one scan over all products, the sandwiches x a y b z
+through the structure's cached sets x Gamma S Gamma z: on integer-scaled
+grades, the product w of x and z passes when key[w] >= bounds[x][z].  A scan
+only picks its key and bounds: the plain and (in, in-or-q) closed forms are
+the (in, in) and (in, invq) bounds, the one-sided ideals a bound on one
+factor, and the generic (alpha, beta) decider the bound of its pair, which
 quantifies over all point values t, r in (0,1].  On a failure one pass over
 a finite candidate list chooses only the (t, r) of an (alpha, beta) witness,
 see the note above _first_failure.
@@ -183,18 +184,23 @@ def _first_failure(s, key: Sequence[int], bounds: list, bi: bool) -> tuple | Non
                 if key[w := row[gm][y]] < u:
                     return (x, y, gm), y, w
     if bi:
-        for x in n:
-            ux = bounds[x]
-            for y in n:
-                for z in n:
-                    u = ux[z]
-                    if not u:
-                        continue
-                    for a in k:
-                        v = cayley[cayley[x][a][y]]
-                        for b in k:
-                            if key[w := v[b][z]] < u:
-                                return (x, y, a, z, b), z, w
+        # x a y b z ranges over the set s.sandwiches[x][z]: find the first x
+        # with a failing product there, then rerun the ordered scan on that x
+        x = next((x for x, (ux, sx) in enumerate(zip(bounds, s.sandwiches))
+                  for u, ws in zip(ux, sx) if u for w in ws if key[w] < u), None)
+        if x is None:
+            return None
+        ux, row = bounds[x], cayley[x]
+        for y in n:
+            for z in n:
+                u = ux[z]
+                if not u:
+                    continue
+                for a in k:
+                    v = cayley[row[a][y]]
+                    for b in k:
+                        if key[w := v[b][z]] < u:
+                            return (x, y, a, z, b), z, w
     return None
 
 

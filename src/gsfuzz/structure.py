@@ -81,6 +81,19 @@ class GammaSemigroup:
             for x in range(self.n)
         ))
 
+    @cached_property
+    def sandwiches(self) -> tuple:
+        """sandwiches[x][z] is x Gamma S Gamma z, the union over u in x Gamma S
+        of u Gamma z, as a sorted tuple: every x a y b z, whatever y, a, b.
+        The x with equal sets x Gamma S share one row."""
+        cayley, ops = self.cayley, range(self.k)
+        sets = [frozenset(w for row in planes for w in row) for planes in cayley]
+        rows = {
+            xs: tuple(tuple(sorted({cayley[u][b][z] for u in xs for b in ops})) for z in range(self.n))
+            for xs in set(sets)
+        }
+        return tuple(rows[xs] for xs in sets)
+
     def subset_of_names(self, names: Iterable[str]) -> CrispSubset:
         return frozenset(self.element_index[name] for name in names)
 
@@ -186,8 +199,8 @@ def is_subsemigroup(s: GammaSemigroup, a: CrispSubset) -> bool:
 
 
 def is_bi_ideal(s: GammaSemigroup, a: CrispSubset) -> bool:
-    """Subsemigroup with A Gamma S Gamma A = (A Gamma S) Gamma A contained in A."""
-    return is_subsemigroup(s, a) and gamma_product(s, gamma_product(s, a, range(s.n)), a) <= a
+    """Subsemigroup with A Gamma S Gamma A contained in A."""
+    return is_subsemigroup(s, a) and all(w in a for x in a for z in a for w in s.sandwiches[x][z])
 
 
 def classify_subset(s: GammaSemigroup, a: Iterable[int]) -> SubsetClassification:

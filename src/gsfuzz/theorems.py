@@ -74,6 +74,21 @@ def _meet(a: list[int], b: list[int], cap: int) -> list[int]:
     return [min(x, y, cap) for x, y in zip(a, b)]
 
 
+def _sandwich_sup(s: GammaSemigroup, g: list[int], cap: int) -> list[int]:
+    """w -> max of min(g[x], g[z], cap) over the (x, z) with w in x Gamma S
+    Gamma z, 0 when there is none: g o 1 o g capped at cap, since sup-min
+    distributes over the middle factor's max."""
+    out = [0] * s.n
+    for x, sx in enumerate(s.sandwiches):
+        top = g[x] if g[x] < cap else cap
+        for z, ws in enumerate(sx):
+            v = g[z] if g[z] < top else top
+            for w in ws:
+                if v > out[w]:
+                    out[w] = v
+    return out
+
+
 def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
     """thm3.2: five equivalent forms of the (in, in-or-q) subsemigroup predicate.
 
@@ -114,7 +129,7 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
     # the scan tries every pair product first: a sandwich witness means they all passed
     hypothesis = verdict.holds or verdict.witness.z is not None
     g, base = _scaled(mu)
-    triple = _sup_min_scaled(s, _sup_min_scaled(s, g, [base] * s.n, base), g, base)
+    triple = _sandwich_sup(s, g, base)
     flags = (
         verdict.holds,
         verdict.holds,
@@ -154,8 +169,7 @@ def report_product_characterization(mu: FuzzySubset, kind: str = "subsemigroup")
         flags = (is_eq_subsemigroup(mu).holds, square_ok)
         return _report("thm4.25", flags, _grades_detail(mu))
     if kind == "bi_ideal":
-        left = _sup_min_scaled(s, g, [base] * s.n, base // 2)
-        sandwich_ok = all(v <= m for v, m in zip(_sup_min_scaled(s, left, g, base // 2), g))
+        sandwich_ok = all(v <= m for v, m in zip(_sandwich_sup(s, g, base // 2), g))
         flags = (is_eq_bi_ideal(mu).holds, square_ok and sandwich_ok)
         return _report("thm4.26", flags, _grades_detail(mu))
     raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
@@ -218,8 +232,7 @@ def report_regularity_characterization(
     """
     samples = [_scaled(mu) for mu in _vet_samples(s, fuzzy_samples)]
     equal = all(
-        _sup_min_scaled(s, _sup_min_scaled(s, g, [base] * s.n, base // 2), g, base // 2)
-        == _meet(g, g, base // 2)
+        _sandwich_sup(s, g, base // 2) == _meet(g, g, base // 2)
         for g, base in samples + _characteristic_bi_ideals(s)
     )
     flags = (is_regular(s), equal)

@@ -141,6 +141,26 @@ def test_level_sets_threshold_range(ex34):
     assert str(exc.value) == "float threshold 0.1 is inexact; pass a str, int or Fraction"
 
 
+def test_bool_grades_are_refused(ex34):
+    # a bool is an int, but True is no grade 1 and False no grade 0
+    s, mu = ex34.structure, ex34.fuzzy["mu"]
+    for flag in (True, False):
+        with pytest.raises(InvalidGrade) as exc:
+            as_grade(flag)
+        assert str(exc.value) == f"bool grade {flag!r}; pass a str, int or Fraction"
+        with pytest.raises(InvalidGrade, match=f"bool grade {flag!r}"):
+            constant(s, flag)
+        with pytest.raises(InvalidGrade, match=f"bool grade {flag!r}"):
+            FuzzySubset.from_mapping(s, {"a": flag})
+        with pytest.raises(InvalidGrade) as exc:
+            FuzzyPoint(0, flag)
+        assert str(exc.value) == f"bool point value {flag!r}; pass a Fraction"
+        with pytest.raises(InvalidThreshold) as exc:
+            level_sets(mu, flag)
+        assert str(exc.value) == f"bool threshold {flag!r}; pass a str, int or Fraction"
+    assert constant(s, 0).is_zero and as_grade(1) == ONE  # the ints still read
+
+
 def test_support(ex34):
     s = ex34.structure
     assert support(ex34.fuzzy["mu"]) == {0, 1, 2}
