@@ -11,9 +11,10 @@ order.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, tee
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
@@ -175,6 +176,31 @@ def _grid_vectors(n: int, grid: int) -> Iterator[tuple[int, ...]]:
     return islice(product(range(grid + 1), repeat=n), 1, None)  # past the zero vector
 
 
+def _order_types(n: int, grid: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(i, v) for the first vector v of each order type in _grid_vectors(n,
+    grid), i its 1-based position there.
+
+    The order type of the grades v / grid is the side of 1/2 each grade lies
+    on and the rank of each folded grade min(g, 1 - g) among the vector's
+    folded grades and 0, so rank 0 is a grade 0 or 1.  Every predicate
+    compares only grades, their complements, 1/2 and 1, so the vectors of
+    one type share every verdict.
+    """
+    fold = [min(v, grid - v) for v in range(grid + 1)]
+    side = [(v + v > grid) - (v + v < grid) for v in range(grid + 1)]
+    seen: set = set()
+    codes: dict = {}  # the set of a vector's values -> value -> 3 * rank + side
+    for i, vec in enumerate(_grid_vectors(n, grid), 1):
+        values = frozenset(vec)
+        if values not in codes:
+            levels = sorted({0, *map(fold.__getitem__, values)})
+            codes[values] = {v: 3 * levels.index(fold[v]) + side[v] for v in values}
+        key = tuple(map(codes[values].__getitem__, vec))
+        if key not in seen:
+            seen.add(key)
+            yield i, vec
+
+
 def _grid_subsets(s: GammaSemigroup, vecs: Iterable, grid: int) -> Iterator[FuzzySubset]:
     """The fuzzy subset with grades v / grid for each vector v of vecs, read
     from one list of the grid's Fractions (a Fraction per grade is slower)."""
@@ -296,22 +322,30 @@ def find_witness(
     grid-lexicographic order, so the first hit is well defined; with no hit
     the bounds scanned are reported.  Atoms are decided by their integer
     scans on the grid vector v, as grades 2v over base 2 * grid, and
-    FuzzySubsets are built only for the witness returned.
+    FuzzySubsets are built only for the witness returned.  A unary hunt
+    decides the expression once per order type (see _order_types), on the
+    type's first vector, and counts every vector up to the witness's.
     """
     test, pair_mode = parse_want(want)
     _grid_vectors(1, grid)  # refuses a bad grid before the first structure
     base = 2 * grid
     n_struct = 0
     n_sub = 0
+    # n -> an unadvanced tee of _order_types(n, grid): it keeps every type
+    # any structure reached, so each vector is typed at most once per call
+    types: dict = {}
     for s in structures:
         n_struct += 1
         if not pair_mode:
-            for vec in _grid_vectors(s.n, grid):
-                n_sub += 1
+            if s.n not in types:
+                types[s.n] = tee(_order_types(s.n, grid), 1)[0]
+            for position, vec in copy(types[s.n]):
                 g = [v + v for v in vec]
                 if test(lambda scan, pair: scan(s, g, base) is None):
+                    n_sub += position
                     subsets = tuple(_grid_subsets(s, [vec], grid))
                     return WitnessSearch(True, s, subsets, n_struct, n_sub)
+            n_sub += (grid + 1) ** s.n - 1
         else:
             # Each (atom, grid vector) is decided at most once per structure,
             # and the union of two grid vectors is found by its index.

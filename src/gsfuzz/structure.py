@@ -51,11 +51,11 @@ class GammaSemigroup:
     gammas: tuple[str, ...]
     cayley: Cube
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.gammas)
 

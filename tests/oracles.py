@@ -358,6 +358,15 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
     return False, None, (), n_struct, n_sub
 
 
+def order_type_by_definition(grades) -> tuple:
+    """The order type of Fraction grades: per grade, its side of 1/2 as
+    -1, 0 or 1, then the rank of each folded grade min(g, 1 - g) among the
+    folded grades and 0."""
+    folded = [min(g, ONE - g) for g in grades]
+    levels = sorted(set(folded) | {ZERO})
+    return tuple((g > HALF) - (g < HALF) for g in grades), tuple(levels.index(f) for f in folded)
+
+
 def thresholds_by_definition(mu: FuzzySubset) -> tuple:
     """The breakpoints mu(x), 1 - mu(x), 1/2 and 1 in (0, 1], half the
     smallest, and the midpoint of every consecutive pair, in Fractions."""

@@ -341,14 +341,20 @@ def _hunt_outcome(structures, want, grid):
 
 def test_find_witness_matches_unmemoized_hunt():
     # every n <= 2 structure and a few n = 3 ones, alone and as one stream;
-    # the pair hunts decide atoms from a per-call memo, the oracle does not
+    # the pair hunts decide atoms from a per-call memo, the unary hunts one
+    # verdict per order type, the oracle neither.  Grid 6 repeats order
+    # types, and the mixed stream alternates n = 2 and n = 3, so the unary
+    # hunts share each n's types across structures.
     small = [s for n, k in ((1, 1), (1, 2), (2, 1), (2, 2)) for s in exhaustive(n, k)]
     triples = exhaustive(3, 1)[::20] + exhaustive(3, 2, count=60)[::30]
+    mixed = [s for pair in zip(small[-len(triples):], triples) for s in pair]
     outcomes = set()
     for want in HUNTS:
-        cases = [([s], grid) for s in small for grid in (2, 3)]
+        cases = [([s], grid) for s in small for grid in (2, 3, 6)]
         cases += [([s], grid) for s in triples for grid in (2, 3)]
-        cases += [(small, 2), (triples, 2)]
+        cases += [(small, 2), (triples, 2), (mixed, 2)]
+        if not parse_want(want)[1]:
+            cases += [([s], 6) for s in triples] + [(mixed, 6)]
         for structures, grid in cases:
             got = _hunt_outcome(structures, want, grid)
             assert got == find_witness_by_definition(structures, want, grid), (want, grid)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -37,6 +38,22 @@ def test_validate_ex34_table():
 def test_validate_single_element():
     s = validate_structure(["a"], ["g"], [[[0]]])
     assert s.n == 1
+
+
+def test_sizes_are_cached_outside_the_fields():
+    # n and k are computed once, as element_index is, and stay out of ==,
+    # hash, repr and dataclasses.replace
+    s = validate_structure(["e", "a", "b"], ["g"], EX34_CUBE)
+    fresh = validate_structure(["e", "a", "b"], ["g"], EX34_CUBE)
+    text = repr(s)
+    assert (s.n, s.k) == (3, 1) and (vars(s)["n"], vars(s)["k"]) == (3, 1)
+    assert "n" not in vars(fresh) and "k" not in vars(fresh)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == text == repr(fresh)
+    assert "n=" not in text and "k=" not in text
+    copied = replace(s)
+    assert copied == s and "n" not in vars(copied) and copied.n == 3
+    wider = replace(s, gammas=("g", "h"))
+    assert (wider.n, wider.k) == (3, 2) and wider != s
 
 
 def test_validate_rejects_broken_associativity():
