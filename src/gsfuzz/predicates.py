@@ -84,10 +84,15 @@ class AlphaBetaPair:
         # What the deciders look up, resolved once and kept beside the fields
         # (so ==, hash and repr stay those of alpha and beta): whether beta is
         # decided as its dual, the bound rule, and the premise and conclusion
-        # intervals of _INTERVALS.
+        # intervals of _INTERVALS.  Also whether the closed form sees mu only
+        # through min(mu, 1/2): a rule capped at H on key mu, or the bound B
+        # on key B - mu, which a product of the support meets only at grade 0.
         beta = _DUAL[self.beta.kind] if self.beta.negated else self.beta.kind
+        rule = _BOUND_RULES.get((self.alpha.kind, beta))
         object.__setattr__(self, "_dual", self.beta.negated)
-        object.__setattr__(self, "_rule", _BOUND_RULES.get((self.alpha.kind, beta)))
+        object.__setattr__(self, "_rule", rule)
+        object.__setattr__(self, "_half_capped", rule is None if self.beta.negated
+                           else rule is not None and rule[1] == 2)
         object.__setattr__(self, "_premise", _INTERVALS[self.alpha.kind])
         object.__setattr__(self, "_conclusion", _INTERVALS[beta])
 
@@ -373,10 +378,11 @@ def is_alpha_beta_bi_ideal(mu: FuzzySubset, pair: AlphaBetaPair) -> PredicateVer
     return _decide(mu, pair._bi_scan, pair)
 
 
-def _resolve_predicate(name: str) -> tuple[Callable, AlphaBetaPair | None]:
-    """The scan a predicate name stands for and its (alpha, beta) pair, None
-    for the seven named forms: check_by_name is _decide(mu, scan, pair).
-    '_' and '-' spell alike.
+def _resolve_predicate(name: str) -> tuple[Callable, AlphaBetaPair | None, bool]:
+    """The scan a predicate name stands for, its (alpha, beta) pair, None
+    for the seven named forms, and whether its verdict depends on mu only
+    through min(mu, 1/2): check_by_name is _decide(mu, scan, pair).  '_' and
+    '-' spell alike.
 
     Names, lower case only: fuzzy-subsemigroup, fuzzy-bi-ideal,
     eq-subsemigroup, eq-bi-ideal, eq-left-ideal, eq-right-ideal, eq-ideal,
@@ -386,7 +392,8 @@ def _resolve_predicate(name: str) -> tuple[Callable, AlphaBetaPair | None]:
     """
     spelled = name.replace("_", "-")
     if spelled in _SCANS:
-        return _SCANS[spelled], None
+        # the five (in, in-or-q) forms bound every product by 1/2 at most
+        return _SCANS[spelled], None, spelled.startswith("eq-")
     if m := re.fullmatch(f"ab-{_FORM}:{_A},{_B}", spelled):
         form, alpha, beta = m.groups()
     elif m := re.fullmatch(f"{_A}-{_B}-{_FORM}", spelled):
@@ -394,9 +401,10 @@ def _resolve_predicate(name: str) -> tuple[Callable, AlphaBetaPair | None]:
     else:
         raise UnknownPredicateName(f"unknown predicate name {name!r}")
     pair = AlphaBetaPair.parse(f"{alpha},{beta}")
-    return (pair._bi_scan if form == "bi-ideal" else pair._sub_scan), pair
+    return (pair._bi_scan if form == "bi-ideal" else pair._sub_scan), pair, pair._half_capped
 
 
 def check_by_name(name: str, mu: FuzzySubset) -> PredicateVerdict:
     """Decide the named predicate for mu (names as in _resolve_predicate)."""
-    return _decide(mu, *_resolve_predicate(name))
+    scan, pair, _ = _resolve_predicate(name)
+    return _decide(mu, scan, pair)

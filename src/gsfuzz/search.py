@@ -176,21 +176,29 @@ def _grid_vectors(n: int, grid: int) -> Iterator[tuple[int, ...]]:
     return islice(product(range(grid + 1), repeat=n), 1, None)  # past the zero vector
 
 
-def _order_types(n: int, grid: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(i, v) for the first vector v of each order type in _grid_vectors(n,
-    grid), i its 1-based position there.
+def _position(vec: tuple[int, ...], grid: int) -> int:
+    """The 1-based position of the non-zero vector vec in _grid_vectors(len(vec), grid)."""
+    position = 0
+    for v in vec:
+        position = position * (grid + 1) + v
+    return position
 
-    The order type of the grades v / grid is the side of 1/2 each grade lies
-    on and the rank of each folded grade min(g, 1 - g) among the vector's
-    folded grades and 0, so rank 0 is a grade 0 or 1.  Every predicate
-    compares only grades, their complements, 1/2 and 1, so the vectors of
-    one type share every verdict.
+
+def _order_types(n: int, grid: int, top: int) -> Iterator[tuple[int, ...]]:
+    """The first vector of each order type among the non-zero vectors of
+    {0, ..., top}^n, top <= grid, in lexicographic order, as grades v / grid.
+
+    The order type of the grades is the side of 1/2 each grade lies on and
+    the rank of each folded grade min(g, 1 - g) among the vector's folded
+    grades and 0, so rank 0 is a grade 0 or 1.  Every predicate compares
+    only grades, their complements, 1/2 and 1, so the vectors of one type
+    share every verdict.
     """
     fold = [min(v, grid - v) for v in range(grid + 1)]
     side = [(v + v > grid) - (v + v < grid) for v in range(grid + 1)]
     seen: set = set()
     codes: dict = {}  # the set of a vector's values -> value -> 3 * rank + side
-    for i, vec in enumerate(_grid_vectors(n, grid), 1):
+    for vec in _grid_vectors(n, top):
         values = frozenset(vec)
         if values not in codes:
             levels = sorted({0, *map(fold.__getitem__, values)})
@@ -198,7 +206,7 @@ def _order_types(n: int, grid: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         key = tuple(map(codes[values].__getitem__, vec))
         if key not in seen:
             seen.add(key)
-            yield i, vec
+            yield vec
 
 
 def _grid_subsets(s: GammaSemigroup, vecs: Iterable, grid: int) -> Iterator[FuzzySubset]:
@@ -252,20 +260,22 @@ _PAIR_PREDICATES = {
 }
 
 
-def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
-    """Compile to (test, pair_mode).  Grammar: expr := term (OR term)*;
+def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool, bool]:
+    """Compile to (test, pair_mode, capped).  Grammar: expr := term (OR term)*;
     term := fact (AND fact)*; fact := NOT fact | ( expr ) | NAME.
 
     test(lookup) is the expression's truth value, with chains short-circuited
     left to right; lookup(scan, pair) is an atom's, for its (unary)
     predicate's scan, predicates._resolve_predicate(name)[0], and whether it
-    is a pair predicate.  pair_mode: some atom is a pair predicate.
+    is a pair predicate.  pair_mode: some atom is a pair predicate.  capped:
+    every atom's predicate sees mu only through min(mu, 1/2)
+    (predicates._resolve_predicate(name)[2]), and so does test.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
-    pair_mode = False
+    pair_mode, capped = False, True
 
     def fact() -> Callable:
-        nonlocal pair_mode
+        nonlocal pair_mode, capped
         if not tokens:
             raise UnknownPredicateName("unexpected end of expression")
         tok = tokens.pop()
@@ -278,8 +288,9 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
                 raise UnknownPredicateName("missing closing parenthesis")
             return e
         unary = _PAIR_PREDICATES.get(tok.replace("-", "_"))
-        scan, is_pair = _resolve_predicate(unary or tok)[0], unary is not None
-        pair_mode = pair_mode or is_pair
+        scan, _, half_capped = _resolve_predicate(unary or tok)
+        is_pair = unary is not None
+        pair_mode, capped = pair_mode or is_pair, capped and half_capped
         return lambda lookup: lookup(scan, is_pair)
 
     def chain(keyword: str, part: Callable[[], Callable], join: Callable) -> Callable:
@@ -298,7 +309,7 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool]:
     test = expr()
     if tokens:
         raise UnknownPredicateName(f"trailing token {tokens[-1]!r}")
-    return test, pair_mode
+    return test, pair_mode, capped
 
 
 @dataclass(frozen=True)
@@ -315,41 +326,48 @@ def find_witness(
 ) -> WitnessSearch:
     """First (structure, fuzzy subset(s)) satisfying the predicate expression.
 
-    Unary predicates are evaluated on each grid subset; if the expression
-    mentions a pair predicate, ordered pairs of grid subsets are scanned and
-    the unary predicates apply to their pointwise union (the witness tuple is
-    then (mu1, mu2, union)).  Scan order is the deterministic structure /
-    grid-lexicographic order, so the first hit is well defined; with no hit
-    the bounds scanned are reported.  Atoms are decided by their integer
-    scans on the grid vector v, as grades 2v over base 2 * grid, and
-    FuzzySubsets are built only for the witness returned.  A unary hunt
-    decides the expression once per order type (see _order_types), on the
-    type's first vector, and counts every vector up to the witness's.
+    With no pair predicate, the expression is decided on grid subsets; if it
+    mentions one, ordered pairs of grid subsets are scanned and the unary
+    predicates apply to their pointwise union (the witness tuple is then
+    (mu1, mu2, union)).  Scan order is the deterministic structure /
+    grid-lexicographic order, so the first hit is well defined, and
+    subsets_scanned counts every subset (or pair) up to it; with no hit the
+    bounds scanned are reported.  Atoms are decided by their integer scans
+    on the grid vector v, as grades 2v over base 2 * grid, and FuzzySubsets
+    are built only for the witness returned.  A unary hunt decides the
+    expression once per order type (see _order_types), on the type's first
+    vector.  When every atom sees mu only through min(mu, 1/2), so does the
+    expression: mu and min(mu, top / grid), top = ceil(grid / 2), share it,
+    and the latter comes no later in grid order (for pairs too, as the union
+    of capped vectors is the capped union), so only vectors with every entry
+    at most top are scanned.
     """
-    test, pair_mode = parse_want(want)
+    test, pair_mode, capped = parse_want(want)
     _grid_vectors(1, grid)  # refuses a bad grid before the first structure
     base = 2 * grid
+    top = (grid + 1) // 2 if capped else grid
     n_struct = 0
     n_sub = 0
-    # n -> an unadvanced tee of _order_types(n, grid): it keeps every type
-    # any structure reached, so each vector is typed at most once per call
+    # n -> an unadvanced tee of _order_types(n, grid, top): it keeps every
+    # type any structure reached, so each vector is typed at most once per call
     types: dict = {}
     for s in structures:
         n_struct += 1
+        count = (grid + 1) ** s.n - 1
         if not pair_mode:
             if s.n not in types:
-                types[s.n] = tee(_order_types(s.n, grid), 1)[0]
-            for position, vec in copy(types[s.n]):
+                types[s.n] = tee(_order_types(s.n, grid, top), 1)[0]
+            for vec in copy(types[s.n]):
                 g = [v + v for v in vec]
                 if test(lambda scan, pair: scan(s, g, base) is None):
-                    n_sub += position
+                    n_sub += _position(vec, grid)
                     subsets = tuple(_grid_subsets(s, [vec], grid))
                     return WitnessSearch(True, s, subsets, n_struct, n_sub)
-            n_sub += (grid + 1) ** s.n - 1
+            n_sub += count
         else:
             # Each (atom, grid vector) is decided at most once per structure,
             # and the union of two grid vectors is found by its index.
-            vecs = list(_grid_vectors(s.n, grid))
+            vecs = list(_grid_vectors(s.n, top))
             where = {v: i for i, v in enumerate(vecs)}
             scaled = [[v + v for v in vec] for vec in vecs]
             verdicts: dict = {}
@@ -366,9 +384,10 @@ def find_witness(
 
             for i, v1 in enumerate(vecs):
                 for j, v2 in enumerate(vecs):
-                    n_sub += 1
                     u = where[tuple(map(max, v1, v2))]
                     if test(lookup):
+                        n_sub += (_position(v1, grid) - 1) * count + _position(v2, grid)
                         subsets = tuple(_grid_subsets(s, [vecs[i], vecs[j], vecs[u]], grid))
                         return WitnessSearch(True, s, subsets, n_struct, n_sub)
+            n_sub += count * count
     return WitnessSearch(False, None, (), n_struct, n_sub)

@@ -330,7 +330,7 @@ def find_witness_by_definition(structures, want: str, grid: int) -> tuple:
     builds its union by pointwise max and re-decides a pair atom on both
     operands and a unary atom on the union, each time it is evaluated.
     """
-    test, pair_mode = parse_want(want)
+    test, pair_mode, _ = parse_want(want)
     n_struct = n_sub = 0
     for s in structures:
         n_struct += 1

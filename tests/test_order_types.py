@@ -6,7 +6,9 @@ grade lies on and the weak order of the folded grades min(g, 1 - g), with
 0 among them.  The types are checked here against a Fraction definition,
 and the verdicts of all 55 scans against the types, on a seeded sample of
 the n <= 3, k <= 2 corpus at an even and an odd grid and on seeded grades
-with denominators up to 1000.
+with denominators up to 1000.  The scans a hunt treats as seeing mu only
+through min(mu, 1/2) are pinned, and checked to give v and its cap one
+verdict on the same sample.
 """
 
 from fractions import Fraction as F
@@ -14,7 +16,7 @@ from itertools import product
 
 from gsfuzz import FuzzySubset
 from gsfuzz.predicates import _resolve_predicate, check_by_name
-from gsfuzz.search import SplitMix64, _order_types, find_witness
+from gsfuzz.search import SplitMix64, _order_types, _position, find_witness, parse_want
 
 from corpus import exhaustive
 from oracles import find_witness_by_definition, order_type_by_definition
@@ -35,23 +37,29 @@ def _typed_vectors(n: int, grid: int) -> list:
 
 def test_order_type_counts():
     for n, count in enumerate(TYPE_COUNTS, 1):
-        assert sum(1 for _ in _order_types(n, 2 * n + 2)) == count
+        assert sum(1 for _ in _order_types(n, 2 * n + 2, 2 * n + 2)) == count
     # a grid d holds every type exactly when d is even and d >= 2n + 2
     for n in (1, 2, 3):
         for grid in range(1, 11):
             complete = grid % 2 == 0 and grid >= 2 * n + 2
-            found = sum(1 for _ in _order_types(n, grid))
+            found = sum(1 for _ in _order_types(n, grid, grid))
             assert (found == TYPE_COUNTS[n - 1]) == complete, (n, grid, found)
+    # the hunts of capped expressions type {0, ..., 5}^3 at grid 10
+    assert sum(1 for _ in _order_types(3, 10, 5)) == 50
 
 
 def test_order_types_are_first_vectors_of_each_type():
     for n, grid in ((1, 1), (1, 4), (2, 5), (2, 6), (3, 4), (3, 7), (3, 10)):
-        firsts, seen = [], set()
-        for position, (vec, key) in enumerate(_typed_vectors(n, grid), 1):
-            if key not in seen:
-                seen.add(key)
-                firsts.append((position, vec))
-        assert list(_order_types(n, grid)) == firsts, (n, grid)
+        typed = _typed_vectors(n, grid)
+        for top in (grid, (grid + 1) // 2, 1):
+            firsts, seen = [], set()
+            for vec, key in typed:
+                if max(vec) <= top and key not in seen:
+                    seen.add(key)
+                    firsts.append(vec)
+            assert list(_order_types(n, grid, top)) == firsts, (n, grid, top)
+        for position, (vec, _) in enumerate(typed, 1):
+            assert _position(vec, grid) == position, (grid, vec)
 
 
 def _sample() -> list:
@@ -86,6 +94,41 @@ def test_vectors_of_one_type_share_every_verdict():
                 verdicts = tuple(check_by_name(name, mu).holds for name in SCANNED_NAMES)
                 assert first[order_type_by_definition(grades)] == verdicts, (s.cayley, grades)
     assert outcomes == {(i, holds) for i in range(len(scans)) for holds in (False, True)}
+
+
+# The scan names the hunts treat as seeing mu only through min(mu, 1/2): the
+# (in, in-or-q) forms and the (alpha, beta) pairs whose bound is capped at 1/2
+# on key mu, or is 1 on key 1 - mu (support-only with a negated beta).
+HALF_CAPPED = {"eq-subsemigroup", "eq-bi-ideal", "eq-left-ideal", "eq-right-ideal", "eq-ideal"} | {
+    f"ab-{form}:{pair}" for form in ("subsemigroup", "bi-ideal") for pair in (
+        "in,invq", "q,invq", "invq,invq",
+        "in,not-in", "in,not-invq", "q,not-q", "q,not-invq",
+        "invq,not-in", "invq,not-q", "invq,not-invq",
+    )
+}
+
+
+def test_half_capped_scans_see_grades_only_up_to_the_cap():
+    # the hunt scans only vectors capped at top = ceil(grid / 2), which is
+    # sound when every flagged scan gives v and min(v, top) one verdict; an
+    # odd grid puts top above 1/2
+    flagged = [name for name in SCANNED_NAMES if parse_want(name)[2]]
+    assert set(flagged) == HALF_CAPPED
+    scans = [_resolve_predicate(name)[0] for name in flagged]
+    outcomes = set()
+    for s in _sample():
+        for grid in (10, 7):
+            top = (grid + 1) // 2
+            for vec in product(range(grid + 1), repeat=s.n):
+                if max(vec) <= top:
+                    continue
+                g = [v + v for v in vec]
+                capped = [min(v, top) * 2 for v in vec]
+                for name, scan in zip(flagged, scans):
+                    holds = scan(s, g, 2 * grid) is None
+                    assert (scan(s, capped, 2 * grid) is None) == holds, (name, s.cayley, vec)
+                    outcomes.add((name, holds))
+    assert outcomes == {(name, holds) for name in flagged for holds in (False, True)}
 
 
 # Grid 4 holds 124 of the 292 order types of n = 3 grade vectors, and none

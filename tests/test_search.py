@@ -213,7 +213,7 @@ def test_bi_ideals_subset_of_subsemigroups():
 
 def _truth_table(want):
     """The compiled test under all 8 assignments of its three atoms."""
-    test, _ = parse_want(want)
+    test, _, _ = parse_want(want)
     names = ("eq_subsemigroup", "fuzzy_subsemigroup", "eq_bi_ideal")
     scans = [_resolve_predicate(name)[0] for name in names]
     table = []
@@ -330,6 +330,7 @@ HUNTS = (
     "union_of_two_eq_bi_ideals AND NOT fuzzy_bi_ideal AND (eq-left-ideal OR NOT eq_right_ideal)",
     "eq_subsemigroup AND NOT fuzzy_subsemigroup",
     "eq_ideal AND NOT eq_bi_ideal",
+    "eq_subsemigroup AND NOT ab-subsemigroup:q,invq",
 )
 
 
@@ -343,14 +344,15 @@ def test_find_witness_matches_unmemoized_hunt():
     # every n <= 2 structure and a few n = 3 ones, alone and as one stream;
     # the pair hunts decide atoms from a per-call memo, the unary hunts one
     # verdict per order type, the oracle neither.  Grid 6 repeats order
-    # types, and the mixed stream alternates n = 2 and n = 3, so the unary
-    # hunts share each n's types across structures.
+    # types, grid 5 caps the hunts of capped expressions at 3/5, above 1/2,
+    # and the mixed stream alternates n = 2 and n = 3, so the unary hunts
+    # share each n's types across structures.
     small = [s for n, k in ((1, 1), (1, 2), (2, 1), (2, 2)) for s in exhaustive(n, k)]
     triples = exhaustive(3, 1)[::20] + exhaustive(3, 2, count=60)[::30]
     mixed = [s for pair in zip(small[-len(triples):], triples) for s in pair]
     outcomes = set()
     for want in HUNTS:
-        cases = [([s], grid) for s in small for grid in (2, 3, 6)]
+        cases = [([s], grid) for s in small for grid in (2, 3, 5, 6)]
         cases += [([s], grid) for s in triples for grid in (2, 3)]
         cases += [(small, 2), (triples, 2), (mixed, 2)]
         if not parse_want(want)[1]:
