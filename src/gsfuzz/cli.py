@@ -1,6 +1,7 @@
 """Structure files and the gsf command line.
 
-File format (UTF-8, line oriented, '#' starts a comment):
+File format (UTF-8, a leading byte-order mark ignored; line oriented, '#'
+starts a comment):
 
     elements e a b
     gammas g
@@ -32,7 +33,10 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
+# Each subcommand imports the predicates, search and theorems names it runs,
+# so a gsf process loads only what its subcommand needs.
 from .errors import (
     BadRational,
     BudgetExhausted,
@@ -47,14 +51,6 @@ from .errors import (
     MissingTable,
 )
 from .fuzzy import FuzzySubset, as_grade
-from .predicates import Witness, check_by_name
-from .search import (
-    GeneratorConfig,
-    find_witness,
-    fixtures,
-    generate_structures,
-    sample_eq_bi_ideals,
-)
 from .structure import (
     _CRISP_KINDS,
     GammaSemigroup,
@@ -63,14 +59,9 @@ from .structure import (
     enumerate_crisp,
     validate_structure,
 )
-from .theorems import (
-    report_bi_ideal_equivalences,
-    report_level_characterization,
-    report_product_characterization,
-    report_regular_intra_characterization,
-    report_regularity_characterization,
-    report_subsemigroup_equivalences,
-)
+
+if TYPE_CHECKING:
+    from .predicates import Witness
 
 
 @dataclass
@@ -269,7 +260,7 @@ def _witness_line(s: GammaSemigroup, w: Witness) -> str:
 
 def _load(path: str) -> tuple[StructureDocument, GammaSemigroup]:
     """The parsed file and its validated structure."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = parse(fh.read())
     return doc, doc.to_structure()
 
@@ -296,6 +287,8 @@ def _cmd_classify(args) -> tuple[int, list]:
 
 
 def _cmd_check(args) -> tuple[int, list]:
+    from .predicates import check_by_name
+
     doc, s = _load(args.file)
     verdict = check_by_name(args.pred, doc.fuzzy_subset(s, args.fuzzy))
     out = [f"file: {args.file}", f"fuzzy: {args.fuzzy}", f"pred: {args.pred}",
@@ -312,6 +305,16 @@ def _cmd_check(args) -> tuple[int, list]:
 
 
 def _cmd_theorems(args) -> tuple[int, list]:
+    from .search import sample_eq_bi_ideals
+    from .theorems import (
+        report_bi_ideal_equivalences,
+        report_level_characterization,
+        report_product_characterization,
+        report_regular_intra_characterization,
+        report_regularity_characterization,
+        report_subsemigroup_equivalences,
+    )
+
     doc, s = _load(args.file)
     mu = doc.fuzzy_subset(s, args.fuzzy)
     out = [f"file: {args.file}", f"fuzzy: {args.fuzzy}"]
@@ -349,6 +352,8 @@ def _cmd_enumerate(args) -> tuple[int, list]:
 
 
 def _cmd_search(args) -> tuple[int, list]:
+    from .search import GeneratorConfig, find_witness, generate_structures
+
     count = args.count
     if count is None:  # the whole exhaustive corpus, or 20 random structures
         count = 0 if args.exhaustive else 20
@@ -375,6 +380,8 @@ def _cmd_search(args) -> tuple[int, list]:
 
 
 def _cmd_fixtures(args) -> tuple[int, list]:
+    from .search import fixtures
+
     pool = {f.id: f for f in fixtures()}
     if args.action == "list":
         return 0, [f"fixture: {fid}" for fid in pool]

@@ -414,7 +414,7 @@ def test_cli_theorems(tmp_path, capsys, monkeypatch):
         assert f"{tid}: agree" in out
     # a report whose flags disagree fails the command and prints its discrepancy
     monkeypatch.setattr(
-        "gsfuzz.cli.report_regular_intra_characterization",
+        "gsfuzz.theorems.report_regular_intra_characterization",
         lambda s, samples: _report("thm4.29", (True, True, False), f"n={s.n} k={s.k}"),
     )
     code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu", "--samples", "10"])
@@ -500,6 +500,55 @@ def test_python_m_gsfuzz_runs_main(tmp_path):
     assert gsf("validate", "no-such.gsf") == (
         2, "error: [Errno 2] No such file or directory: 'no-such.gsf'\n"
     )
+
+
+_BASE_MODULES = ["gsfuzz", "gsfuzz.cli", "gsfuzz.errors", "gsfuzz.fuzzy", "gsfuzz.structure"]
+_SEARCH_MODULES = sorted([*_BASE_MODULES, "gsfuzz.predicates", "gsfuzz.search"])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["validate", "FILE"], _BASE_MODULES),
+    (["classify", "FILE"], _BASE_MODULES),
+    (["enumerate", "FILE", "--kind", "bi_ideal"], _BASE_MODULES),
+    (["check", "FILE", "--fuzzy", "mu", "--pred", "eq-subsemigroup"],
+     sorted([*_BASE_MODULES, "gsfuzz.predicates"])),
+    (["theorems", "FILE", "--fuzzy", "mu", "--samples", "2"],
+     sorted([*_SEARCH_MODULES, "gsfuzz.theorems"])),
+    (["search", "--want", "eq_subsemigroup", "--n", "2", "--exhaustive", "--grid", "2"],
+     _SEARCH_MODULES),
+    (["fixtures", "list"], _SEARCH_MODULES),
+    (None, ["gsfuzz"]),
+], ids=["validate", "classify", "enumerate", "check", "theorems", "search", "fixtures",
+        "bare-import"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    """A fresh interpreter's gsfuzz.* modules after one `run`; None is a bare `import gsfuzz`."""
+    path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
+    call = "import gsfuzz" if argv is None else (
+        f"from gsfuzz.cli import run; run({[path if a == 'FILE' else a for a in argv]!r})"
+    )
+    code = (f"import sys; {call}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gsfuzz'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == repr(modules)
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    plain = _write(tmp_path, "ex34.gsf", EX34_TEXT)
+    marked = str(tmp_path / "bom.gsf")
+    Path(marked).write_bytes(b"\xef\xbb\xbf" + EX34_TEXT.encode("utf-8"))
+    for argv in (["validate"], ["check", "--fuzzy", "mu", "--pred", "eq-subsemigroup"],
+                 ["check", "--fuzzy", "mu", "--pred", "fuzzy-subsemigroup"]):
+        expected = _run(capsys, [argv[0], plain, *argv[1:]])
+        got = _run(capsys, [argv[0], marked, *argv[1:]])
+        assert got == (expected[0], expected[1].replace(plain, marked)), argv
+        assert got[0] == 0, argv
+    # the writer emits no mark
+    target = tmp_path / "ex34.written.gsf"
+    assert run(["fixtures", "write", "ex3.4", str(target)]) == 0
+    assert not target.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert not print_document(parse(EX34_TEXT)).startswith("\ufeff")
 
 
 # Full stdout of each command, FILE standing for the structure file's path.
