@@ -24,6 +24,7 @@ from gsfuzz.fuzzy import (
     PointRelation,
     RelKind,
     _scaled,
+    _thresholds,
     critical_thresholds,
     point_satisfies,
 )
@@ -199,6 +200,49 @@ def refuting_cells_by_grades(alphas, betas, a, c, w) -> list:
         ]
     return out
 
+
+
+def _interval(rule: tuple, g: int, base: int) -> tuple[int, int]:
+    """The (p, q) of the rule (i, j, flip) of _INTERVALS, for x of scaled grade g."""
+    ends = (g, base - g, 0, base)
+    return ends[rule[0]], ends[rule[1]]
+
+
+def failing_cell_by_candidates(
+    pair, base: int, gx: int, gz: int, gw: int
+) -> tuple[int, int] | None:
+    """First candidate (t, r) with x_t, z_r alpha mu but not w_min(t,r) beta mu.
+
+    The library's cell search as it was before it went one pass over the
+    breakpoints, kept to pin the rewrite: it walks the full candidate list
+    of _thresholds, every midpoint and every breakpoint.
+
+    gx, gz, gw are the scaled grades of x, z and the product w; None when
+    the point implication holds for this product.  One ascending pass: t is
+    the first premise value that some premise r <= t refutes, with r the
+    first such, or that refutes by itself, with r the first premise r > t.
+    """
+    cands = _thresholds({gx, gz, gw, base - gx, base - gz, base - gw, base})
+    px, qx = _interval(pair._premise, gx, base)
+    pz, qz = _interval(pair._premise, gz, base)
+    pw, qw = _interval(pair._conclusion, base - gw if pair._dual else gw, base)
+    flip = pair._conclusion[2]
+    t = r = None
+    for m in cands:
+        z_holds = m <= pz or m > qz
+        if t is not None:
+            if z_holds:
+                return t, m
+            continue
+        refutes = (m <= pw or m > qw) == flip  # w_m not beta mu
+        if r is None and z_holds and refutes:
+            r = m
+        if m <= px or m > qx:
+            if r is not None:
+                return m, r
+            if refutes:
+                t = m
+    return None
 
 def first_alpha_beta_failure(
     mu: FuzzySubset, alpha: PointRelation, beta: PointRelation, bi: bool

@@ -1,5 +1,7 @@
+import copy
+import pickle
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 from functools import partial
 from itertools import product
@@ -48,7 +50,7 @@ from gsfuzz.search import GeneratorConfig, find_witness, generate_structures, ra
 from gsfuzz.structure import classify_subset
 
 from corpus import exhaustive
-from oracles import refuting_cells_by_grades
+from oracles import failing_cell_by_candidates, refuting_cells_by_grades
 
 ALPHAS = ("in", "q", "invq")
 BETAS = ("in", "q", "invq", "inandq")
@@ -282,6 +284,25 @@ def test_failing_cell_is_first_refuting_cell_on_grid24(grid24_sampler):
     _assert_first_refuting_cells(_grid(24), base, sampled)
 
 
+
+def _candidate_cells(spec, base, scaled):
+    """_sampler_cells, by the full candidate walk the cell search replaced."""
+    pair = AlphaBetaPair.parse(spec)
+    return tuple(failing_cell_by_candidates(pair, base, *t) for t in product(scaled, repeat=3))
+
+
+@pytest.mark.parametrize("values", [_grid(12), MIXED], ids=["grid12", "mixed"])
+def test_failing_cell_matches_candidate_walk(values):
+    base, scaled = _scaled(values)
+    for spec in ALL_PAIRS:
+        assert _sampler_cells(spec, base, scaled) == _candidate_cells(spec, base, scaled), spec
+
+
+def test_failing_cell_matches_candidate_walk_on_grid24(grid24_sampler):
+    base, scaled, sampled = grid24_sampler
+    for spec in ALL_PAIRS:
+        assert sampled[spec] == _candidate_cells(spec, base, scaled), spec
+
 def test_alpha_beta_pairs_fall_into_ten_regions(grid24_sampler):
     _, _, sampled = grid24_sampler
     classes = defaultdict(set)
@@ -342,6 +363,47 @@ def test_verdict_witness_shape():
         PredicateVerdict(True, Witness(0, 0, 0))
     with pytest.raises(ValueError):
         PredicateVerdict(False, None)
+
+
+
+def test_verdict_value_types_are_pinned():
+    bare, full = Witness(0, 1, 2), Witness(0, 1, 0, 2, 1, F(1, 2), F(3, 4))
+    assert bare == Witness(x=0, y=1, gamma=2) == Witness(0, 1, 2, None, None, None, None)
+    assert full == Witness(0, 1, 0, z=2, delta=1, r=F(3, 4), t=F(1, 2))
+    assert bare != full and bare != (0, 1, 2) and full != replace(full, r=F(1, 2))
+    assert [(f.name, f.default) for f in fields(Witness)] == [
+        ("x", MISSING), ("y", MISSING), ("gamma", MISSING), ("z", None),
+        ("delta", None), ("t", None), ("r", None)]
+    assert vars(full) == {"x": 0, "y": 1, "gamma": 0, "z": 2, "delta": 1,
+                          "t": F(1, 2), "r": F(3, 4)}
+    assert hash(full) == hash((0, 1, 0, 2, 1, F(1, 2), F(3, 4)))
+    assert repr(bare) == "Witness(x=0, y=1, gamma=2, z=None, delta=None, t=None, r=None)"
+    assert repr(full) == (
+        "Witness(x=0, y=1, gamma=0, z=2, delta=1, t=Fraction(1, 2), r=Fraction(3, 4))")
+    holds, fails = PredicateVerdict(True), PredicateVerdict(False, full)
+    assert holds == PredicateVerdict(holds=True) == PredicateVerdict(True, None)
+    assert fails == PredicateVerdict(holds=False, witness=full) != PredicateVerdict(False, bare)
+    assert [(f.name, f.default) for f in fields(PredicateVerdict)] == [
+        ("holds", MISSING), ("witness", None)]
+    assert vars(fails) == {"holds": False, "witness": full}
+    assert hash(holds) == hash((True, None)) and hash(fails) == hash((False, full))
+    assert repr(holds) == "PredicateVerdict(holds=True, witness=None)"
+    assert repr(fails) == f"PredicateVerdict(holds=False, witness={full!r})"
+    for value, name in ((full, "t"), (fails, "holds")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            value.extra = 1
+    assert replace(full, t=None, r=None) == Witness(0, 1, 0, 2, 1)
+    assert replace(fails, witness=bare) == PredicateVerdict(False, bare)
+    with pytest.raises(ValueError):
+        replace(fails, holds=True)
+    for value in (bare, full, holds, fails):
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value) and vars(twin) == vars(value)
+    assert copy.deepcopy(fails).witness is not full
 
 
 def test_witness_reverification_on_random_samples(ex34, ex46):
