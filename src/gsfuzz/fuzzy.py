@@ -62,12 +62,12 @@ class PointRelation:
 
     @classmethod
     def parse(cls, token: str) -> "PointRelation":
-        token = token.strip().lower()
-        negated = token.startswith("not-")
+        kind = token.strip().lower()
+        negated = kind.startswith("not-")
         if negated:
-            token = token[4:]
+            kind = kind[4:]
         try:
-            return cls(RelKind(token), negated)
+            return cls(RelKind(kind), negated)
         except ValueError:
             raise ValueError(f"unknown relation token {token!r}") from None
 

@@ -7,8 +7,8 @@ only picks its key and bounds: the plain and (in, in-or-q) closed forms are
 the (in, in) and (in, invq) bounds, the one-sided ideals a bound on one
 factor, and the generic (alpha, beta) decider the bound of its pair, which
 quantifies over all point values t, r in (0,1].  On a failure one pass over
-a finite candidate list chooses only the (t, r) of an (alpha, beta) witness,
-see the note above _first_failure.
+the cells of (0,1] that the grades cut out chooses only the (t, r) of an
+(alpha, beta) witness, see the note above _first_failure.
 
 All verdicts carry a witness when they are negative, chosen as the
 lexicographically first failure in element / gamma / candidate-value order so
@@ -31,7 +31,6 @@ from .fuzzy import (
     RelKind,
     _scaled,
     _scaled_pair,
-    _thresholds,
 )
 
 __all__ = [
@@ -115,7 +114,10 @@ class AlphaBetaPair:
         return _first_failure(s, key, bounds, True)
 
 
-@dataclass(frozen=True)
+# Every refutation builds a Witness and a PredicateVerdict, so both fill
+# their fields with one update of the instance dict, past the frozen
+# __setattr__ as fuzzy._scaled does, not one object.__setattr__ per field.
+@dataclass(frozen=True, init=False)
 class Witness:
     """Refuting data: elements x, y (and z), the operation(s), optional t, r."""
 
@@ -127,15 +129,21 @@ class Witness:
     t: Fraction | None = None
     r: Fraction | None = None
 
+    def __init__(self, x, y, gamma, z=None, delta=None, t=None, r=None):
+        self.__dict__.update(x=x, y=y, gamma=gamma, z=z, delta=delta, t=t, r=r)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PredicateVerdict:
     holds: bool
     witness: Witness | None = None
 
-    def __post_init__(self):
-        if self.holds == (self.witness is not None):
+    def __init__(self, holds, witness=None):
+        if holds is not True and holds is not False:  # 1 and 0 would pass the check below
+            raise ValueError(f"non-bool holds {holds!r}; pass True or False")
+        if holds is (witness is not None):
             raise ValueError("witness must be present exactly when holds is false")
+        self.__dict__.update(holds=holds, witness=witness)
 
 
 _TRUE = PredicateVerdict(True)
@@ -165,12 +173,15 @@ _IN_IN, _IN_INVQ = AlphaBetaPair(IN, IN), AlphaBetaPair(IN, IN_OR_Q)
 # Its conditions compare t, r with mu(x), mu(z), mu(w), their complements or
 # 1, so the implication is constant on the cells those breakpoints cut out
 # of (0,1]; min(t, r) of two representatives represents the min cell.  Each
-# relation is an interval test on one candidate (_INTERVALS): the premise
+# relation is an interval test on one value (_INTERVALS): the premise
 # x_t alpha mu is t <= p or t > q, and w_m beta mu fails iff p < m <= q,
-# inverted for in-and-q, with negated beta its dual on B - mu(w).  So one
-# ascending pass over the candidates finds the first failing (t, r).  The
-# pair resolves these rules once, when it is built.  The scan loops stay
-# inline because the witness hunts run them on many tiny grade vectors.
+# inverted for in-and-q, with negated beta its dual on B - mu(w).  Every
+# end p, q is 0, 1 or a breakpoint, so a cell's midpoint passes the same
+# tests as its breakpoint and, being lower, is the value a witness names.
+# So one ascending pass over the sorted breakpoints, testing each cell's
+# midpoint, finds the first failing (t, r).  The pair resolves these rules
+# once, when it is built.  The scan loops stay inline because the witness
+# hunts run them on many tiny grade vectors.
 
 
 def _first_failure(s, key: Sequence[int], bounds: list, bi: bool) -> tuple | None:
@@ -225,29 +236,29 @@ def _within_or_q(nu: list[int], mu: list[int], base: int) -> bool:
     return all(m >= v or m + m >= base for v, m in zip(nu, mu))
 
 
-def _interval(rule: tuple, g: int, base: int) -> tuple[int, int]:
-    """The (p, q) of the rule (i, j, flip) of _INTERVALS, for x of scaled grade g."""
-    ends = (g, base - g, 0, base)
-    return ends[rule[0]], ends[rule[1]]
-
-
 def _failing_cell(
     pair: AlphaBetaPair, base: int, gx: int, gz: int, gw: int
 ) -> tuple[int, int] | None:
-    """First candidate (t, r) with x_t, z_r alpha mu but not w_min(t,r) beta mu.
+    """First cell (t, r) with x_t, z_r alpha mu but not w_min(t,r) beta mu.
 
     gx, gz, gw are the scaled grades of x, z and the product w; None when
-    the point implication holds for this product.  One ascending pass: t is
-    the first premise value that some premise r <= t refutes, with r the
-    first such, or that refutes by itself, with r the first premise r > t.
+    the point implication holds for this product.  One ascending pass over
+    the cells, each named by its midpoint m: t is the first premise cell
+    that some premise r <= t refutes, with r the first such, or that
+    refutes by itself, with r the first premise r > t.
     """
-    cands = _thresholds({gx, gz, gw, base - gx, base - gz, base - gw, base})
-    px, qx = _interval(pair._premise, gx, base)
-    pz, qz = _interval(pair._premise, gz, base)
-    pw, qw = _interval(pair._conclusion, base - gw if pair._dual else gw, base)
-    flip = pair._conclusion[2]
+    i, j, _ = pair._premise  # the ends (g, B - g, 0, B) of _INTERVALS
+    ex, ez = (gx, base - gx, 0, base), (gz, base - gz, 0, base)
+    px, qx, pz, qz = ex[i], ex[j], ez[i], ez[j]
+    i, j, flip = pair._conclusion
+    ew = (base - gw, gw, 0, base) if pair._dual else (gw, base - gw, 0, base)
+    pw, qw = ew[i], ew[j]
     t = r = None
-    for m in cands:
+    low = 0
+    for b in sorted({gx, gz, gw, base - gx, base - gz, base - gw, base}):
+        if not b:
+            continue
+        m, low = (low + b) // 2, b
         z_holds = m <= pz or m > qz
         if t is not None:
             if z_holds:
@@ -272,11 +283,11 @@ def _product_bounds(
     exactly when key[w] < bounds[x][z]."""
     key = [base - v for v in g] if pair._dual else g
     rule = pair._rule
-    if rule is None:  # U = B on the support
-        combine, c = min, [base if v else 0 for v in g]
-    else:
-        combine, cap = rule[0], base // rule[1]
-        c = [v if v < cap else cap for v in g]
+    if rule is None:  # U = B on the support: rows shared, as the scan only reads
+        row, zero = [base if v else 0 for v in g], [0] * len(g)
+        return key, [row if v else zero for v in g]
+    combine, cap = rule[0], base // rule[1]
+    c = [v if v < cap else cap for v in g]
     if combine is max:  # compared inline: this runs on every decider call
         return key, [[(a if a > b else b) if a and b else 0 for b in c] for a in c]
     return key, [[a if a < b else b for b in c] for a in c]
@@ -324,7 +335,9 @@ def _decide(mu: FuzzySubset, scan: Callable, pair: AlphaBetaPair | None = None) 
     if pair is None:
         return PredicateVerdict(False, Witness(*where))
     t, r = _failing_cell(pair, base, g[where[0]], g[z], g[w])
-    return PredicateVerdict(False, Witness(*where, t=Fraction(t, base), r=Fraction(r, base)))
+    ft = Fraction(t, base)
+    fr = ft if r == t else Fraction(r, base)  # r == t in most refutations
+    return PredicateVerdict(False, Witness(*where, t=ft, r=fr))
 
 
 def is_fuzzy_subsemigroup(mu: FuzzySubset) -> PredicateVerdict:

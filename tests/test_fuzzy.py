@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 from gsfuzz import (
+    AlphaBetaPair,
     FuzzyPoint,
     FuzzySubset,
     as_grade,
@@ -83,6 +84,10 @@ def test_point_satisfies_via_q_only(ex34):
     assert point_satisfies(p, mu, PointRelation.parse("not-in"))
     with pytest.raises(ValueError, match="unknown relation token 'zz'"):
         PointRelation.parse("zz")
+    with pytest.raises(ValueError, match="unknown relation token 'not-not-q'"):
+        PointRelation.parse("not-not-q")
+    with pytest.raises(ValueError, match="unknown relation token 'not-not-q'"):
+        AlphaBetaPair.parse("in,not-not-q")
 
 
 def test_point_satisfies_unknown_element(ex34):

@@ -406,6 +406,11 @@ def test_verdict_value_types_are_pinned():
     assert copy.deepcopy(fails).witness is not full
 
 
+def test_verdict_refuses_non_bool_holds():
+    for holds, witness in ((1, None), (0, Witness(0, 0, 0)), (None, Witness(0, 0, 0))):
+        with pytest.raises(ValueError, match=f"non-bool holds {holds!r}"):
+            PredicateVerdict(holds, witness)
+
 def test_witness_reverification_on_random_samples(ex34, ex46):
     pair = AlphaBetaPair.parse("in,in")
     for f in (ex34, ex46):
