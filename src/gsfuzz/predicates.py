@@ -114,9 +114,8 @@ class AlphaBetaPair:
         return _first_failure(s, key, bounds, True)
 
 
-# Every refutation builds a Witness and a PredicateVerdict, so both fill
-# their fields with one update of the instance dict, past the frozen
-# __setattr__ as fuzzy._scaled does, not one object.__setattr__ per field.
+# Every refutation builds both, so each fills its fields in one update of the
+# instance dict, past the frozen __setattr__ as fuzzy._scaled does.
 @dataclass(frozen=True, init=False)
 class Witness:
     """Refuting data: elements x, y (and z), the operation(s), optional t, r."""
