@@ -23,6 +23,7 @@ from gsfuzz.fuzzy import (
     FuzzyPoint,
     PointRelation,
     RelKind,
+    _critical,
     _scaled,
     _thresholds,
     critical_thresholds,
@@ -415,6 +416,20 @@ def thresholds_by_definition(mu: FuzzySubset) -> tuple:
     """The breakpoints mu(x), 1 - mu(x), 1/2 and 1 in (0, 1], half the
     smallest, and the midpoint of every consecutive pair, in Fractions."""
     return _cells(*mu.grades, HALF)
+
+
+def cuts_are_at_criticals(mu: FuzzySubset, check, bracket: bool) -> bool:
+    """check holds on every distinct non-empty level set U(mu; r) at critical
+    r <= 1/2, or with bracket on every [mu]_t = U(mu; t) | Q(mu; t) at critical t.
+
+    theorems._cuts_are as it was when every critical threshold, breakpoints
+    and cell midpoints alike, named a cut."""
+    g, base = _scaled(mu)
+    cuts = {
+        frozenset(i for i, v in enumerate(g) if v >= t or bracket and v + t > base)
+        for t in _critical(g, base) if bracket or t <= base // 2
+    }
+    return all(check(mu.structure, cut) for cut in cuts if cut)
 
 
 def _o05(lam: FuzzySubset, mu: FuzzySubset) -> FuzzySubset:
