@@ -73,7 +73,7 @@ class UnknownElement(GsfError):
 
 
 class InvalidThreshold(GsfError):
-    """Level-set threshold outside (0,1]."""
+    """Level-set threshold outside (0,1] or not an exact rational."""
 
 
 class StructureMismatch(GsfError):

@@ -140,7 +140,7 @@ class FuzzySubset:
 
     @property
     def is_zero(self) -> bool:
-        return all(g == ZERO for g in self.grades)
+        return not any(self.grades)  # a Fraction is falsy exactly when it is 0
 
 
 def _same_structure(*subsets: FuzzySubset) -> GammaSemigroup:
@@ -186,7 +186,10 @@ def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
         raise InvalidThreshold(f"float threshold {t!r} is inexact; pass a str, int or Fraction")
     if isinstance(t, bool):
         raise InvalidThreshold(f"bool threshold {t!r}; pass a str, int or Fraction")
-    t = Fraction(t)
+    try:
+        t = Fraction(t)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InvalidThreshold(f"not an exact rational: {t!r}") from exc
     if not ZERO < t <= ONE:
         raise InvalidThreshold(f"threshold {t} outside (0,1]")
     u = frozenset(i for i, g in enumerate(mu.grades) if g >= t)

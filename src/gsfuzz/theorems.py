@@ -5,10 +5,11 @@ whether all condition flags agree; thm3.2's and thm3.5's forms (1) and (2)
 share one closed-form scan.  A disagreement is either a build error or a
 genuine counterexample, so reports carry the refuting data.
 
-Theorems quantifying over *all* fuzzy bi-ideals (thm4.28, thm4.29) cannot be
-checked universally; their reports check the forward direction on caller
-supplied samples and recover the converse through the characteristic
-functions of all crisp bi-ideals, which is all their proofs consume.
+thm4.28 and thm4.29 quantify over all fuzzy bi-ideals and are decided exactly
+on the crisp ones: functions capped at 1/2 are equal when their cuts at every
+t <= 1/2 are, the cuts of o05 products and of cap05 are the Gamma products and
+intersections of the cuts U(mu; t), and those of an (in, in-or-q) bi-ideal
+are crisp bi-ideals (thm3.5(5)), whose characteristic functions are ones.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SampleNotBiIdeal, StructureMismatch
-from .fuzzy import ZERO, FuzzySubset, _critical, _scaled, _scaled_pair, _sup_min_scaled
+from .errors import EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
+from .fuzzy import ZERO, FuzzySubset, _scaled, _sup_min_scaled
 from .predicates import _within_or_q, is_eq_bi_ideal, is_eq_subsemigroup
 from .structure import (
     GammaSemigroup,
@@ -45,12 +46,14 @@ class TheoremReport:
             raise ValueError("discrepancy must be present exactly when flags disagree")
 
 
-def _report(theorem_id: str, flags: Sequence[bool], detail: str) -> TheoremReport:
+def _report(theorem_id: str, flags: Sequence[bool], detail: str | FuzzySubset) -> TheoremReport:
+    """detail is the text, or a fuzzy subset to format only on a disagreement."""
     flags = tuple(flags)
     if all(flags) or not any(flags):
         return TheoremReport(theorem_id, flags, True)
     minority = sum(flags) * 2 <= len(flags)
     indices = tuple(i for i, f in enumerate(flags) if f is minority)
+    detail = _grades_detail(detail) if isinstance(detail, FuzzySubset) else detail
     return TheoremReport(theorem_id, flags, False, (indices, detail))
 
 
@@ -59,19 +62,19 @@ def _grades_detail(mu: FuzzySubset) -> str:
 
 
 def _cuts_are(mu: FuzzySubset, check, bracket: bool) -> bool:
-    """check holds on every distinct non-empty level set U(mu; r) at critical
-    r <= 1/2, or with bracket on every [mu]_t = U(mu; t) | Q(mu; t) at critical t."""
+    """check holds on every distinct non-empty U(mu; r), 0 < r <= 1/2, or with
+    bracket on every non-empty [mu]_t = U(mu; t) | Q(mu; t), 0 < t <= 1.  Each
+    U(mu; r) is the cut at the least min(g, 1/2) >= r; [mu]_t is constant on
+    each cell (b, b'] between the breakpoints g, 1 - g, 1/2 and 1, so b' stands
+    for the cell."""
     g, base = _scaled(mu)
+    half = base // 2
+    ts = {*g, *(base - v for v in g), half, base} if bracket else {min(v, half) for v in g}
     cuts = {
         frozenset(i for i, v in enumerate(g) if v >= t or bracket and v + t > base)
-        for t in _critical(g, base) if bracket or t <= base // 2
+        for t in ts if t
     }
     return all(check(mu.structure, cut) for cut in cuts if cut)
-
-
-def _meet(a: list[int], b: list[int], cap: int) -> list[int]:
-    """Pointwise min(a, b, cap); with cap = base // 2 this is cap05."""
-    return [min(x, y, cap) for x, y in zip(a, b)]
 
 
 def _sandwich_sup(s: GammaSemigroup, g: list[int], cap: int) -> list[int]:
@@ -113,7 +116,7 @@ def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
         all(min(v, base // 2) <= m for v, m in zip(square, g)),
         _cuts_are(mu, is_subsemigroup, bracket=False),
     )
-    return _report("thm3.2", flags, _grades_detail(mu))
+    return _report("thm3.2", flags, mu)
 
 
 def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
@@ -138,7 +141,7 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
         hypothesis and all(min(v, base // 2) <= m for v, m in zip(triple, g)),
         _cuts_are(mu, is_bi_ideal, bracket=False),
     )
-    return _report("thm3.5", flags, _grades_detail(mu))
+    return _report("thm3.5", flags, mu)
 
 
 def report_level_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -> TheoremReport:
@@ -154,7 +157,7 @@ def report_level_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -
     else:
         raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
     flags = (pred(mu).holds, _cuts_are(mu, crisp, bracket=True))
-    return _report(theorem_id, flags, _grades_detail(mu))
+    return _report(theorem_id, flags, mu)
 
 
 def report_product_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -> TheoremReport:
@@ -162,17 +165,15 @@ def report_product_characterization(mu: FuzzySubset, kind: str = "subsemigroup")
 
     thm4.26: eq-bi-ideal iff mu o05 mu <= mu and mu o05 1 o05 mu <= mu.
     """
+    if kind not in ("subsemigroup", "bi_ideal"):
+        raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
     s = mu.structure
     g, base = _scaled(mu)
     square_ok = all(v <= m for v, m in zip(_sup_min_scaled(s, g, g, base // 2), g))
     if kind == "subsemigroup":
-        flags = (is_eq_subsemigroup(mu).holds, square_ok)
-        return _report("thm4.25", flags, _grades_detail(mu))
-    if kind == "bi_ideal":
-        sandwich_ok = all(v <= m for v, m in zip(_sandwich_sup(s, g, base // 2), g))
-        flags = (is_eq_bi_ideal(mu).holds, square_ok and sandwich_ok)
-        return _report("thm4.26", flags, _grades_detail(mu))
-    raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
+        return _report("thm4.25", (is_eq_subsemigroup(mu).holds, square_ok), mu)
+    sandwich_ok = all(v <= m for v, m in zip(_sandwich_sup(s, g, base // 2), g))
+    return _report("thm4.26", (is_eq_bi_ideal(mu).holds, square_ok and sandwich_ok), mu)
 
 
 def image(f: Homomorphism, mu: FuzzySubset) -> FuzzySubset:
@@ -206,37 +207,36 @@ def is_f_invariant(mu: FuzzySubset, f: Homomorphism) -> bool:
     return True
 
 
-def _characteristic_bi_ideals(s: GammaSemigroup) -> list[tuple[list[int], int]]:
-    """The characteristic functions of all crisp bi-ideals, scaled to base 4."""
-    return [([4 if i in b else 0 for i in range(s.n)], 4) for b in enumerate_crisp(s, "bi_ideal")]
-
-
-def _vet_samples(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[FuzzySubset]:
-    samples = list(samples)
+def _bi_ideals(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[frozenset]:
+    """The crisp bi-ideals of s, once each sample is vetted in turn: over s,
+    non-zero, and with every non-empty cut at r <= 1/2 among them (thm3.5(5))."""
+    bis = enumerate_crisp(s, "bi_ideal")
+    known = set(bis)
     for mu in samples:
         if mu.structure != s:
             raise StructureMismatch("sample does not live over the structure")
-        if not is_eq_bi_ideal(mu).holds:
+        if mu.is_zero:
+            raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
+        if not _cuts_are(mu, lambda _, cut: cut in known, bracket=False):
             raise SampleNotBiIdeal(f"sample with grades {_grades_detail(mu)}")
-    return samples
+    return bis
+
+
+def _gamma(s: GammaSemigroup, a: frozenset, b: frozenset) -> frozenset:
+    return frozenset(row[y] for x in a for row in s.cayley[x] for y in b)  # A Gamma B
 
 
 def report_regularity_characterization(
     s: GammaSemigroup, fuzzy_samples: Iterable[FuzzySubset] = ()
 ) -> TheoremReport:
-    """thm4.28: regular iff mu o05 1 o05 mu = mu meet 0.5_S for bi-ideals mu.
-
-    Checked over the supplied (in, in-or-q) bi-ideal samples plus the
-    characteristic functions of all crisp bi-ideals; the latter make the
-    converse direction exact.
-    """
-    samples = [_scaled(mu) for mu in _vet_samples(s, fuzzy_samples)]
+    """thm4.28: regular iff mu o05 1 o05 mu = mu meet 0.5_S for bi-ideals mu,
+    decided as A Gamma S Gamma A = A on the crisp bi-ideals A.  The samples
+    are only vetted: they cannot change a flag."""
     equal = all(
-        _sandwich_sup(s, g, base // 2) == _meet(g, g, base // 2)
-        for g, base in samples + _characteristic_bi_ideals(s)
+        {w for x in a for z in a for w in s.sandwiches[x][z]} == a
+        for a in _bi_ideals(s, fuzzy_samples)
     )
-    flags = (is_regular(s), equal)
-    return _report("thm4.28", flags, f"n={s.n} k={s.k}")
+    return _report("thm4.28", (is_regular(s), equal), f"n={s.n} k={s.k}")
 
 
 def report_regular_intra_characterization(
@@ -244,27 +244,15 @@ def report_regular_intra_characterization(
 ) -> TheoremReport:
     """thm4.29: regular and intra-regular iff (2) iff (3).
 
-    (2) mu o05 mu = mu meet 0.5_S for every sampled bi-ideal mu;
-    (3) mu cap05 nu = (mu o05 nu) cap05 (nu o05 mu) for the sampled pairs.
-    Characteristic bi-ideals are always included (all pairs of them), which
-    carries the converse; supplied samples are paired consecutively.
+    (2) mu o05 mu = mu meet 0.5_S for every bi-ideal mu: A Gamma A = A;
+    (3) mu cap05 nu = (mu o05 nu) cap05 (nu o05 mu) for every pair of them:
+        A & B = A Gamma B & B Gamma A for crisp A <= B, A = B included.
+    The samples are only vetted: they cannot change a flag.
     """
-    samples = _vet_samples(s, fuzzy_samples)
-    chars = _characteristic_bi_ideals(s)
-
-    squares_ok = all(
-        _sup_min_scaled(s, g, g, base // 2) == _meet(g, g, base // 2)
-        for g, base in [_scaled(mu) for mu in samples] + chars
-    )
-
-    pair_list = [(p, q, 2) for p, _ in chars for q, _ in chars]
-    for mu, nu in zip(samples, samples[1:]):
-        a, b, base = _scaled_pair(mu, nu)
-        pair_list.append((a, b, base // 2))
+    bis = _bi_ideals(s, fuzzy_samples)
+    squares_ok = all(_gamma(s, a, a) == a for a in bis)
     pairs_ok = all(
-        _meet(a, b, h) == _meet(_sup_min_scaled(s, a, b, h), _sup_min_scaled(s, b, a, h), h)
-        for a, b, h in pair_list
+        a & b == _gamma(s, a, b) & _gamma(s, b, a) for i, a in enumerate(bis) for b in bis[i:]
     )
-
     flags = (is_regular(s) and is_intra_regular(s), squares_ok, pairs_ok)
     return _report("thm4.29", flags, f"n={s.n} k={s.k}")

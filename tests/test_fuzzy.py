@@ -146,6 +146,14 @@ def test_level_sets_threshold_range(ex34):
     assert str(exc.value) == "float threshold 0.1 is inexact; pass a str, int or Fraction"
 
 
+def test_level_sets_refuse_non_rationals(ex34):
+    # refused as as_grade refuses a grade, not with the Fraction error
+    for raw in ("abc", "1/0", None):
+        with pytest.raises(InvalidThreshold) as exc:
+            level_sets(ex34.fuzzy["mu"], raw)
+        assert str(exc.value) == f"not an exact rational: {raw!r}"
+
+
 def test_bool_grades_are_refused(ex34):
     # a bool is an int, but True is no grade 1 and False no grade 0
     s, mu = ex34.structure, ex34.fuzzy["mu"]

@@ -27,10 +27,16 @@ from gsfuzz import (
     validate_homomorphism,
     validate_structure,
 )
-from gsfuzz.errors import EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
-from gsfuzz import predicates
+from gsfuzz.errors import CarrierTooLarge, EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
+from gsfuzz import predicates, theorems
 from gsfuzz.fuzzy import HALF
-from gsfuzz.search import GeneratorConfig, SplitMix64, random_fuzzy, sample_eq_bi_ideals
+from gsfuzz.search import (
+    GeneratorConfig,
+    SplitMix64,
+    mod_surrogate,
+    random_fuzzy,
+    sample_eq_bi_ideals,
+)
 from gsfuzz.structure import classify_structure, classify_subset, enumerate_homomorphisms
 from gsfuzz.theorems import TheoremReport, _report
 
@@ -79,6 +85,27 @@ def test_report_invariant_shape():
     ):
         rep = _report("x", flags, "detail")
         assert not rep.agree and rep.discrepancy == (indices, "detail"), flags
+
+
+def test_report_formats_grades_only_on_disagreement(ex34, monkeypatch):
+    mu, formatted = ex34.fuzzy["mu"], []
+    detail = theorems._grades_detail
+    monkeypatch.setattr(theorems, "_grades_detail", lambda m: formatted.append(m) or detail(m))
+    for report in MU_REPORTS.values():
+        assert report(mu).agree
+    assert formatted == []
+    rep = _report("x", (True, False), mu)
+    assert rep.discrepancy == ((0,), " ".join(map(str, mu.grades))) and formatted == [mu]
+
+
+def test_product_characterization_checks_kind_first(ex34, monkeypatch):
+    def product(*args):
+        raise AssertionError("computed a product for a bad kind")
+
+    monkeypatch.setattr(theorems, "_sup_min_scaled", product)
+    monkeypatch.setattr(theorems, "_sandwich_sup", product)
+    with pytest.raises(ValueError, match="kind must be"):
+        report_product_characterization(ex34.fuzzy["mu"], "ideal")
 
 
 def test_subsemigroup_equivalences_examples(ex34):
@@ -296,6 +323,17 @@ def test_regularity_rejects_non_bi_ideal_sample(ex34):
     failing = FuzzySubset.from_mapping(ex34.structure, {"e": "0.1", "a": "0.9", "b": "0.9"})
     with pytest.raises(SampleNotBiIdeal):
         report_regularity_characterization(ex34.structure, [failing])
+
+
+def test_regularity_reports_enumerate_before_vetting():
+    # past the n <= 16 subset-scan cap the reports refuse the carrier before
+    # they look at a sample, so a bad sample reports CarrierTooLarge
+    s = mod_surrogate(17).structure
+    bad = FuzzySubset.from_mapping(s, {"1": 1})  # 1 5 1 = 5 has grade 0
+    assert not is_eq_bi_ideal(bad).holds
+    for report in (report_regularity_characterization, report_regular_intra_characterization):
+        with pytest.raises(CarrierTooLarge, match=r"^2\^17 subset scan exceeds the cap"):
+            report(s, [bad])
 
 
 def test_regular_intra_characterization(ex427, ex34):
