@@ -71,7 +71,7 @@ def _cuts_are(mu: FuzzySubset, check, bracket: bool) -> bool:
     half = base // 2
     ts = {*g, *(base - v for v in g), half, base} if bracket else {min(v, half) for v in g}
     cuts = {
-        frozenset(i for i, v in enumerate(g) if v >= t or bracket and v + t > base)
+        frozenset([i for i, v in enumerate(g) if v >= t or bracket and v + t > base])
         for t in ts if t
     }
     return all(check(mu.structure, cut) for cut in cuts if cut)
