@@ -172,9 +172,12 @@ def _check_subset(s: GammaSemigroup, a: Iterable[int]) -> CrispSubset:
 
 def gamma_product(s: GammaSemigroup, a: Iterable[int], b: Iterable[int]) -> CrispSubset:
     """A Gamma B = {x g y : x in A, y in B, g in Gamma}."""
-    a = _check_subset(s, a)
-    b = _check_subset(s, b)
-    return frozenset(s.cayley[x][g][y] for x in a for g in range(s.k) for y in b)
+    return _gamma_product(s, _check_subset(s, a), _check_subset(s, b))
+
+
+def _gamma_product(s: GammaSemigroup, a: CrispSubset, b: CrispSubset) -> CrispSubset:
+    """gamma_product of subsets already checked."""
+    return frozenset(row[y] for x in a for row in s.cayley[x] for y in b)
 
 
 @dataclass(frozen=True)

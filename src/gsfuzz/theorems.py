@@ -23,6 +23,7 @@ from .predicates import _within_or_q, is_eq_bi_ideal, is_eq_subsemigroup
 from .structure import (
     GammaSemigroup,
     Homomorphism,
+    _gamma_product,
     enumerate_crisp,
     is_bi_ideal,
     is_intra_regular,
@@ -222,10 +223,6 @@ def _bi_ideals(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[frozen
     return bis
 
 
-def _gamma(s: GammaSemigroup, a: frozenset, b: frozenset) -> frozenset:
-    return frozenset(row[y] for x in a for row in s.cayley[x] for y in b)  # A Gamma B
-
-
 def report_regularity_characterization(
     s: GammaSemigroup, fuzzy_samples: Iterable[FuzzySubset] = ()
 ) -> TheoremReport:
@@ -250,9 +247,10 @@ def report_regular_intra_characterization(
     The samples are only vetted: they cannot change a flag.
     """
     bis = _bi_ideals(s, fuzzy_samples)
-    squares_ok = all(_gamma(s, a, a) == a for a in bis)
+    squares_ok = all(_gamma_product(s, a, a) == a for a in bis)
     pairs_ok = all(
-        a & b == _gamma(s, a, b) & _gamma(s, b, a) for i, a in enumerate(bis) for b in bis[i:]
+        a & b == _gamma_product(s, a, b) & _gamma_product(s, b, a)
+        for i, a in enumerate(bis) for b in bis[i:]
     )
     flags = (is_regular(s) and is_intra_regular(s), squares_ok, pairs_ok)
     return _report("thm4.29", flags, f"n={s.n} k={s.k}")
