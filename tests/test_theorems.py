@@ -310,6 +310,28 @@ def test_regularity_characterization_non_regular():
     assert rep.agree and rep.condition_flags == (False, False)
 
 
+def test_regular_not_intra_regular_separates_the_regularity_reports():
+    # the Brandt semigroup B2 is regular but not intra-regular (e12 e12 = 0):
+    # its bi-ideals satisfy A S A = A but not all A A = A, which no n <= 3
+    # structure shows
+    names = ["0", "e11", "e12", "e21", "e22"]
+    unit = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
+    index = {ij: x for x, ij in unit.items()}
+
+    def mul(x, y):
+        if x == 0 or y == 0 or unit[x][1] != unit[y][0]:
+            return 0
+        return index[(unit[x][0], unit[y][1])]
+
+    s = validate_structure(names, ["g"], [[[mul(x, y) for y in range(5)]] for x in range(5)])
+    reg = report_regularity_characterization(s)
+    intra = report_regular_intra_characterization(s)
+    assert reg.agree and reg.condition_flags == (True, True)
+    assert intra.agree and intra.condition_flags == (False, False, False)
+    assert reg.condition_flags == report_flags_by_definition("thm4.28", s, [])
+    assert intra.condition_flags == report_flags_by_definition("thm4.29", s, [])
+
+
 def test_samples_and_pairs_on_other_structures_rejected(ex34, ex427):
     s, other = ex427.structure, ex34.fuzzy["mu"]
     for report in (report_regularity_characterization, report_regular_intra_characterization):
