@@ -154,6 +154,20 @@ def test_level_sets_refuse_non_rationals(ex34):
         assert str(exc.value) == f"not an exact rational: {raw!r}"
 
 
+@pytest.mark.parametrize("kind, raw, error, message", [
+    ("grade", "-1/2", InvalidGrade, "grade -1/2 outside [0,1]"),
+    ("grade", None, InvalidGrade, "not an exact rational: None"),
+    ("threshold", 0, InvalidThreshold, "threshold 0 outside (0,1]"),
+    ("threshold", "3/2", InvalidThreshold, "threshold 3/2 outside (0,1]"),
+])
+def test_exact_rational_refusals_are_pinned(ex34, kind, raw, error, message):
+    # the messages the float, bool and non-rational tests above leave unpinned
+    coerce = as_grade if kind == "grade" else lambda v: level_sets(ex34.fuzzy["mu"], v)
+    with pytest.raises(error) as exc:
+        coerce(raw)
+    assert exc.type is error and str(exc.value) == message
+
+
 def test_bool_grades_are_refused(ex34):
     # a bool is an int, but True is no grade 1 and False no grade 0
     s, mu = ex34.structure, ex34.fuzzy["mu"]
