@@ -315,6 +315,8 @@ def _cmd_theorems(args) -> tuple[int, list]:
         report_subsemigroup_equivalences,
     )
 
+    if args.grid < 1 or args.samples < 0:
+        raise ValueError("need --grid >= 1, --samples >= 0")
     doc, s = _load(args.file)
     mu = doc.fuzzy_subset(s, args.fuzzy)
     out = [f"file: {args.file}", f"fuzzy: {args.fuzzy}"]

@@ -31,16 +31,22 @@ ONE = Fraction(1)
 GradeLike = Union[Fraction, int, str]
 
 
+def _exact(value, noun: str, error: type, accepted: str = "a str, int or Fraction") -> Fraction:
+    """value as an exact Fraction, refused with error when it is a float, a
+    bool or no rational; noun names it in the messages."""
+    if isinstance(value, float):  # 0.1 is 3602879701896397/2**55, not 1/10
+        raise error(f"float {noun} {value!r} is inexact; pass {accepted}")
+    if isinstance(value, bool):  # bool is an int: True would read as 1
+        raise error(f"bool {noun} {value!r}; pass {accepted}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise error(f"not an exact rational: {value!r}") from exc
+
+
 def as_grade(value: GradeLike) -> Fraction:
     """Coerce to an exact Fraction in [0,1]; decimals parse exactly."""
-    if isinstance(value, float):  # 0.1 is 3602879701896397/2**55, not 1/10
-        raise InvalidGrade(f"float grade {value!r} is inexact; pass a str, int or Fraction")
-    if isinstance(value, bool):  # bool is an int: True would read as the grade 1
-        raise InvalidGrade(f"bool grade {value!r}; pass a str, int or Fraction")
-    try:
-        g = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InvalidGrade(f"not an exact rational: {value!r}") from exc
+    g = _exact(value, "grade", InvalidGrade)
     if not ZERO <= g <= ONE:
         raise InvalidGrade(f"grade {g} outside [0,1]")
     return g
@@ -90,14 +96,7 @@ class FuzzyPoint:
     value: Fraction
 
     def __post_init__(self):
-        if isinstance(self.value, float):
-            raise InvalidGrade(f"float point value {self.value!r} is inexact; pass a Fraction")
-        if isinstance(self.value, bool):
-            raise InvalidGrade(f"bool point value {self.value!r}; pass a Fraction")
-        try:
-            value = Fraction(self.value)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise InvalidGrade(f"not an exact rational: {self.value!r}") from exc
+        value = _exact(self.value, "point value", InvalidGrade, "a Fraction")
         if not ZERO < value <= ONE:
             raise InvalidGrade(f"point value {value} outside (0,1]")
         object.__setattr__(self, "value", value)  # past the frozen __setattr__
@@ -182,14 +181,7 @@ class LevelSets:
 
 
 def level_sets(mu: FuzzySubset, t: GradeLike) -> LevelSets:
-    if isinstance(t, float):
-        raise InvalidThreshold(f"float threshold {t!r} is inexact; pass a str, int or Fraction")
-    if isinstance(t, bool):
-        raise InvalidThreshold(f"bool threshold {t!r}; pass a str, int or Fraction")
-    try:
-        t = Fraction(t)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InvalidThreshold(f"not an exact rational: {t!r}") from exc
+    t = _exact(t, "threshold", InvalidThreshold)
     if not ZERO < t <= ONE:
         raise InvalidThreshold(f"threshold {t} outside (0,1]")
     u = frozenset(i for i, g in enumerate(mu.grades) if g >= t)

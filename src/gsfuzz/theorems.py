@@ -3,7 +3,8 @@
 Each report evaluates the listed conditions of one named theorem and records
 whether all condition flags agree; thm3.2's and thm3.5's forms (1) and (2)
 share one closed-form scan.  A disagreement is either a build error or a
-genuine counterexample, so reports carry the refuting data.
+genuine counterexample, so reports carry the refuting data.  thm4.23 and
+thm4.24 read the same level cuts as thm3.2(5) and thm3.5(5).
 
 thm4.28 and thm4.29 quantify over all fuzzy bi-ideals and are decided exactly
 on the crisp ones: functions capped at 1/2 are equal when their cuts at every
@@ -62,19 +63,15 @@ def _grades_detail(mu: FuzzySubset) -> str:
     return " ".join(str(g) for g in mu.grades)
 
 
-def _cuts_are(mu: FuzzySubset, check, bracket: bool) -> bool:
-    """check holds on every distinct non-empty U(mu; r), 0 < r <= 1/2, or with
-    bracket on every non-empty [mu]_t = U(mu; t) | Q(mu; t), 0 < t <= 1.  Each
-    U(mu; r) is the cut at the least min(g, 1/2) >= r; [mu]_t is constant on
-    each cell (b, b'] between the breakpoints g, 1 - g, 1/2 and 1, so b' stands
-    for the cell."""
+def _cuts_are(mu: FuzzySubset, check) -> bool:
+    """check holds on every distinct non-empty U(mu; r), 0 < r <= 1/2, each the
+    cut at the least min(g, 1/2) >= r.  These are also the non-empty sets
+    [mu]_t = U(mu; t) | Q(mu; t), 0 < t <= 1: for t <= 1/2, Q(mu; t) lies in
+    U(mu; t); for t > 1/2, [mu]_t = {mu > 1 - t}, the cut at the least
+    min(g, 1/2) above 1 - t."""
     g, base = _scaled(mu)
-    half = base // 2
-    ts = {*g, *(base - v for v in g), half, base} if bracket else {min(v, half) for v in g}
-    cuts = {
-        frozenset([i for i, v in enumerate(g) if v >= t or bracket and v + t > base])
-        for t in ts if t
-    }
+    ts = {min(v, base // 2) for v in g} - {0}
+    cuts = {frozenset([i for i, v in enumerate(g) if v >= t]) for t in ts}
     return all(check(mu.structure, cut) for cut in cuts if cut)
 
 
@@ -100,7 +97,7 @@ def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
         closed-form scan that decides both;
     (3) mu o mu is contained in-or-q in mu;
     (4) mu o mu capped at 1/2 <= mu pointwise;
-    (5) every non-empty level set at critical r <= 1/2 is a subsemigroup.
+    (5) every non-empty level set U(mu; r), r <= 1/2, is a subsemigroup.
     """
     s = mu.structure
     closed_form = is_eq_subsemigroup(mu).holds
@@ -115,7 +112,7 @@ def report_subsemigroup_equivalences(mu: FuzzySubset) -> TheoremReport:
         # condition out (take the characteristic function of the identity in
         # the 2-element group), and the five-way equivalence would fail.
         all(min(v, base // 2) <= m for v, m in zip(square, g)),
-        _cuts_are(mu, is_subsemigroup, bracket=False),
+        _cuts_are(mu, is_subsemigroup),
     )
     return _report("thm3.2", flags, mu)
 
@@ -140,7 +137,7 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
         hypothesis and _within_or_q(triple, g, base),
         # constant 1/2 cap, as in thm3.2
         hypothesis and all(min(v, base // 2) <= m for v, m in zip(triple, g)),
-        _cuts_are(mu, is_bi_ideal, bracket=False),
+        _cuts_are(mu, is_bi_ideal),
     )
     return _report("thm3.5", flags, mu)
 
@@ -148,8 +145,8 @@ def report_bi_ideal_equivalences(mu: FuzzySubset) -> TheoremReport:
 def report_level_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -> TheoremReport:
     """thm4.23 / thm4.24: the predicate holds iff every non-empty [mu]_t does.
 
-    [mu]_t = U(mu;t) union Q(mu;t); t ranges over (0,1], decided on the
-    critical thresholds of mu.
+    [mu]_t = U(mu;t) union Q(mu;t), t in (0,1]: the cuts U(mu; r), r <= 1/2,
+    of thm3.2(5) and thm3.5(5) (see _cuts_are).
     """
     if kind == "subsemigroup":
         theorem_id, pred, crisp = "thm4.23", is_eq_subsemigroup, is_subsemigroup
@@ -157,7 +154,7 @@ def report_level_characterization(mu: FuzzySubset, kind: str = "subsemigroup") -
         theorem_id, pred, crisp = "thm4.24", is_eq_bi_ideal, is_bi_ideal
     else:
         raise ValueError("kind must be 'subsemigroup' or 'bi_ideal'")
-    flags = (pred(mu).holds, _cuts_are(mu, crisp, bracket=True))
+    flags = (pred(mu).holds, _cuts_are(mu, crisp))
     return _report(theorem_id, flags, mu)
 
 
@@ -218,7 +215,7 @@ def _bi_ideals(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[frozen
             raise StructureMismatch("sample does not live over the structure")
         if mu.is_zero:
             raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
-        if not _cuts_are(mu, lambda _, cut: cut in known, bracket=False):
+        if not _cuts_are(mu, lambda _, cut: cut in known):
             raise SampleNotBiIdeal(f"sample with grades {_grades_detail(mu)}")
     return bis
 

@@ -428,7 +428,7 @@ def test_cli_theorems_bad_grid_or_samples_is_usage_error(tmp_path, capsys):
     for flags in (["--grid", "0"], ["--grid", "-1"], ["--samples", "-3"]):
         code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu", *flags])
         assert code == 2, flags
-        assert out == "error: need grid >= 1, count >= 0\n", flags
+        assert out == "error: need --grid >= 1, --samples >= 0\n", flags
 
 
 def test_cli_enumerate(tmp_path, capsys):
