@@ -359,6 +359,8 @@ def _cmd_search(args) -> tuple[int, list]:
     count = args.count
     if count is None:  # the whole exhaustive corpus, or 20 random structures
         count = 0 if args.exhaustive else 20
+    if args.n < 1 or args.k < 1 or args.grid < 1 or count < 0:
+        raise ValueError("need --n >= 1, --k >= 1, --grid >= 1, --count >= 0")
     config = GeneratorConfig(n=args.n, k=args.k, seed=args.seed, grid=args.grid, count=count)
     structures = generate_structures(config, exhaustive=args.exhaustive)
     result = find_witness(structures, args.want, args.grid)

@@ -184,21 +184,21 @@ def _position(vec: tuple[int, ...], grid: int) -> int:
     return position
 
 
-def _order_types(n: int, grid: int, top: int) -> Iterator[tuple[int, ...]]:
+def _order_types(n: int, grid: int) -> Iterator[tuple[int, ...]]:
     """The first vector of each order type among the non-zero vectors of
-    {0, ..., top}^n, top <= grid, in lexicographic order, as grades v / grid.
+    {0, ..., grid}^n in lexicographic order, as grades v / grid.
 
     The order type of the grades is the side of 1/2 each grade lies on and
     the rank of each folded grade min(g, 1 - g) among the vector's folded
     grades and 0, so rank 0 is a grade 0 or 1.  Every predicate compares
     only grades, their complements, 1/2 and 1, so the vectors of one type
-    share every verdict.
+    share every verdict.  The capped hunts use _capped_types instead.
     """
     fold = [min(v, grid - v) for v in range(grid + 1)]
     side = [(v + v > grid) - (v + v < grid) for v in range(grid + 1)]
     seen: set = set()
     codes: dict = {}  # the set of a vector's values -> value -> 3 * rank + side
-    for vec in _grid_vectors(n, top):
+    for vec in _grid_vectors(n, grid):
         values = frozenset(vec)
         if values not in codes:
             levels = sorted({0, *map(fold.__getitem__, values)})
@@ -206,6 +206,26 @@ def _order_types(n: int, grid: int, top: int) -> Iterator[tuple[int, ...]]:
         key = tuple(map(codes[values].__getitem__, vec))
         if key not in seen:
             seen.add(key)
+            yield vec
+
+
+def _capped_types(n: int, top: int) -> Iterator[tuple[int, ...]]:
+    """The non-zero vectors of {0, ..., top}^n whose entries strictly between
+    0 and top are exactly 1, ..., j for some j, in lexicographic order.
+
+    With top = ceil(grid / 2), a grade v / grid is at least 1/2 exactly when
+    v >= top, so the order type of min(mu, 1/2) is which grades reach 1/2
+    and the weak order of the others with 0.  Each vector here is the first
+    vector of one such type: it lowers the j distinct grades below the cap
+    to 1, ..., j and the rest to top, pointwise no higher than any vector of
+    its type, over the whole grid too.
+    """
+    alphabet = (*range(min(n, top - 1) + 1), top)
+    for vec in islice(product(alphabet, repeat=n), 1, None):  # past the zero vector
+        inner = set(vec)
+        inner.discard(0)
+        inner.discard(top)
+        if len(inner) == max(inner, default=0):
             yield vec
 
 
@@ -293,18 +313,26 @@ def parse_want(text: str) -> tuple[Callable[[Callable], bool], bool, bool]:
         pair_mode, capped = pair_mode or is_pair, capped and half_capped
         return lambda lookup: lookup(scan, is_pair)
 
-    def chain(keyword: str, part: Callable[[], Callable], join: Callable) -> Callable:
-        """part (KEYWORD part)*, joined by all for AND or any for OR."""
+    def chain(keyword: str, part: Callable[[], Callable], stop: bool) -> Callable:
+        """part (KEYWORD part)*: the first part whose value is stop (False
+        for AND, True for OR) decides the chain, else it is not stop."""
         parts = [part()]
         while tokens and tokens[-1].upper() == keyword:
             tokens.pop()
             parts.append(part())
         if len(parts) == 1:
             return parts[0]
-        return lambda lookup: join(p(lookup) for p in parts)
+
+        def joined(lookup) -> bool:
+            for p in parts:
+                if p(lookup) == stop:
+                    return stop
+            return not stop
+
+        return joined
 
     def expr() -> Callable:
-        return chain("OR", lambda: chain("AND", fact, all), any)
+        return chain("OR", lambda: chain("AND", fact, False), True)
 
     test = expr()
     if tokens:
@@ -334,13 +362,17 @@ def find_witness(
     subsets_scanned counts every subset (or pair) up to it; with no hit the
     bounds scanned are reported.  Atoms are decided by their integer scans
     on the grid vector v, as grades 2v over base 2 * grid, and FuzzySubsets
-    are built only for the witness returned.  A unary hunt decides the
-    expression once per order type (see _order_types), on the type's first
-    vector.  When every atom sees mu only through min(mu, 1/2), so does the
-    expression: mu and min(mu, top / grid), top = ceil(grid / 2), share it,
-    and the latter comes no later in grid order (for pairs too, as the union
-    of capped vectors is the capped union), so only vectors with every entry
-    at most top are scanned.
+    are built only for the witness returned.
+
+    When every atom sees mu only through min(mu, 1/2), so does the
+    expression (the hunt is capped): mu and min(mu, top / grid), top =
+    ceil(grid / 2), share it, and the latter comes no later in grid order
+    (for pairs too, as the union of capped vectors is the capped union), so
+    only vectors with every entry at most top are scanned.  A unary hunt
+    decides the expression once per order type, on the type's first vector:
+    a capped one per type of min(mu, 1/2), from _capped_types, which types
+    no vector (at an odd grid these are fewer than the types of the capped
+    vectors), any other per type of the grid vectors, from _order_types.
     """
     test, pair_mode, capped = parse_want(want)
     _grid_vectors(1, grid)  # refuses a bad grid before the first structure
@@ -348,15 +380,16 @@ def find_witness(
     top = (grid + 1) // 2 if capped else grid
     n_struct = 0
     n_sub = 0
-    # n -> an unadvanced tee of _order_types(n, grid, top): it keeps every
-    # type any structure reached, so each vector is typed at most once per call
+    # n -> an unadvanced tee of the type representatives of length n: it
+    # keeps every one any structure reached, so each is made once per call
     types: dict = {}
     for s in structures:
         n_struct += 1
         count = (grid + 1) ** s.n - 1
         if not pair_mode:
             if s.n not in types:
-                types[s.n] = tee(_order_types(s.n, grid, top), 1)[0]
+                reps = _capped_types(s.n, top) if capped else _order_types(s.n, grid)
+                types[s.n] = tee(reps, 1)[0]
             for vec in copy(types[s.n]):
                 g = [v + v for v in vec]
                 if test(lambda scan, pair: scan(s, g, base) is None):

@@ -451,6 +451,15 @@ def test_cli_search(capsys):
     assert code == 2 and out == "error: random generation needs count >= 1\n"
 
 
+def test_cli_search_out_of_range_flag_is_usage_error(capsys):
+    want = ["search", "--want", "eq_ideal", "--n", "2"]
+    for flags in (["--grid", "0"], ["--k", "0"], ["--count", "-1"],
+                  ["--count", "-1", "--exhaustive"], ["--n", "0"]):
+        code, out = _run(capsys, [*want, *flags])
+        assert code == 2, flags
+        assert out == "error: need --n >= 1, --k >= 1, --grid >= 1, --count >= 0\n", flags
+
+
 def test_cli_exhaustive_search_scans_the_whole_corpus(capsys):
     code, out = _run(capsys, ["search", "--want", "fuzzy_subsemigroup AND NOT eq_subsemigroup",
                               "--n", "3", "--exhaustive", "--grid", "1"])

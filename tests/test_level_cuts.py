@@ -43,7 +43,7 @@ def _typed(s) -> list:
     """A fuzzy subset of every order type, grades v / (2n + 2)."""
     grid = 2 * s.n + 2
     steps = [F(v, grid) for v in range(grid + 1)]
-    return [FuzzySubset(s, tuple(steps[v] for v in vec)) for vec in _order_types(s.n, grid, grid)]
+    return [FuzzySubset(s, tuple(steps[v] for v in vec)) for vec in _order_types(s.n, grid)]
 
 
 def _visited(cuts_are, mu, *bracket: bool) -> list:

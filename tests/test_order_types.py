@@ -3,10 +3,12 @@
 Every predicate compares only grades, their complements, 1/2 and 1, so a
 verdict depends on mu only through its order type: the side of 1/2 each
 grade lies on and the weak order of the folded grades min(g, 1 - g), with
-0 among them.  The types are checked here against a Fraction definition,
-and the verdicts of all 55 scans against the types, on a seeded sample of
-the n <= 3, k <= 2 corpus at an even and an odd grid and on seeded grades
-with denominators up to 1000.  The scans a hunt treats as seeing mu only
+0 among them.  A hunt that sees mu only through min(mu, 1/2) decides one
+vector per type of min(mu, 1/2) instead, which it builds without typing
+any vector.  Both sets of first vectors are checked here against a
+Fraction definition, and the verdicts of all 55 scans against the types,
+on a seeded sample of the n <= 3, k <= 2 corpus at an even and an odd grid
+and on seeded grades with denominators up to 1000.  The scans a hunt treats as seeing mu only
 through min(mu, 1/2) are pinned, and checked to give v and its cap one
 verdict on the same sample.
 """
@@ -16,7 +18,14 @@ from itertools import product
 
 from gsfuzz import FuzzySubset
 from gsfuzz.predicates import _resolve_predicate, check_by_name
-from gsfuzz.search import SplitMix64, _order_types, _position, find_witness, parse_want
+from gsfuzz.search import (
+    SplitMix64,
+    _capped_types,
+    _order_types,
+    _position,
+    find_witness,
+    parse_want,
+)
 
 from corpus import exhaustive
 from oracles import find_witness_by_definition, order_type_by_definition
@@ -37,29 +46,47 @@ def _typed_vectors(n: int, grid: int) -> list:
 
 def test_order_type_counts():
     for n, count in enumerate(TYPE_COUNTS, 1):
-        assert sum(1 for _ in _order_types(n, 2 * n + 2, 2 * n + 2)) == count
+        assert sum(1 for _ in _order_types(n, 2 * n + 2)) == count
     # a grid d holds every type exactly when d is even and d >= 2n + 2
     for n in (1, 2, 3):
         for grid in range(1, 11):
             complete = grid % 2 == 0 and grid >= 2 * n + 2
-            found = sum(1 for _ in _order_types(n, grid, grid))
+            found = sum(1 for _ in _order_types(n, grid))
             assert (found == TYPE_COUNTS[n - 1]) == complete, (n, grid, found)
-    # the hunts of capped expressions type {0, ..., 5}^3 at grid 10
-    assert sum(1 for _ in _order_types(3, 10, 5)) == 50
+    # the hunts of capped expressions decide 50 vectors of {0, ..., 5}^3 at grid 10
+    assert sum(1 for _ in _capped_types(3, 5)) == 50
+
+
+def _firsts(typed: list) -> list:
+    """The first vector of each order type in typed, in order."""
+    firsts, seen = [], set()
+    for vec, key in typed:
+        if key not in seen:
+            seen.add(key)
+            firsts.append(vec)
+    return firsts
 
 
 def test_order_types_are_first_vectors_of_each_type():
     for n, grid in ((1, 1), (1, 4), (2, 5), (2, 6), (3, 4), (3, 7), (3, 10)):
         typed = _typed_vectors(n, grid)
-        for top in (grid, (grid + 1) // 2, 1):
-            firsts, seen = [], set()
-            for vec, key in typed:
-                if max(vec) <= top and key not in seen:
-                    seen.add(key)
-                    firsts.append(vec)
-            assert list(_order_types(n, grid, top)) == firsts, (n, grid, top)
+        assert list(_order_types(n, grid)) == _firsts(typed), (n, grid)
         for position, (vec, _) in enumerate(typed, 1):
             assert _position(vec, grid) == position, (grid, vec)
+
+
+def test_capped_types_are_first_vectors_of_each_type_below_the_cap():
+    # at grid 2 * top the cap top is 1/2, so the order types of the vectors
+    # with every entry at most top are those of min(mu, 1/2)
+    for n in range(1, 5):
+        for top in range(1, 7):
+            typed = [(vec, key) for vec, key in _typed_vectors(n, 2 * top) if max(vec) <= top]
+            assert list(_capped_types(n, top)) == _firsts(typed), (n, top)
+    # an odd grid splits grades just below and above 1/2 into two types that
+    # min(mu, 1/2) merges: at grid 5 the capped vectors hold 56 types, 44 here
+    capped = [(vec, key) for vec, key in _typed_vectors(3, 5) if max(vec) <= 3]
+    assert len(_firsts(capped)) == 56
+    assert sum(1 for _ in _capped_types(3, 3)) == 44
 
 
 def _sample() -> list:
