@@ -14,6 +14,7 @@ from itertools import chain, product
 
 from gsfuzz import FuzzySubset
 from gsfuzz.search import parse_want
+from gsfuzz.structure import enumerate_crisp
 from gsfuzz.fuzzy import (
     HALF,
     IN,
@@ -338,6 +339,23 @@ def intra_regular_by_definition(s) -> bool:
     return all(
         a in _gamma_set(s, _gamma_set(s, _gamma_set(s, carrier, {a}), {a}), carrier)
         for a in carrier
+    )
+
+
+def regularity_flags_by_enumeration(s) -> tuple[tuple, tuple]:
+    """The thm4.28 and thm4.29 flags with no samples, over every crisp
+    bi-ideal A, B of the 2^n subset scan: regular iff A Gamma S Gamma A = A;
+    regular and intra-regular iff A Gamma A = A iff A & B = A Gamma B & B Gamma A."""
+    bis = enumerate_crisp(s, "bi_ideal")
+    carrier = range(s.n)
+    regular = regular_by_definition(s)
+    return (
+        (regular, all(_gamma_set(s, _gamma_set(s, a, carrier), a) == a for a in bis)),
+        (
+            regular and intra_regular_by_definition(s),
+            all(_gamma_set(s, a, a) == a for a in bis),
+            all(a & b == _gamma_set(s, a, b) & _gamma_set(s, b, a) for a in bis for b in bis),
+        ),
     )
 
 

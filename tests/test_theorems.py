@@ -37,11 +37,20 @@ from gsfuzz.search import (
     random_fuzzy,
     sample_eq_bi_ideals,
 )
-from gsfuzz.structure import classify_structure, classify_subset, enumerate_homomorphisms
+from gsfuzz.structure import (
+    classify_structure,
+    classify_subset,
+    enumerate_homomorphisms,
+    is_regular,
+)
 from gsfuzz.theorems import TheoremReport, _report
 
-from corpus import exhaustive
-from oracles import report_flags_by_definition, thresholds_by_definition
+from corpus import direct_product, exhaustive
+from oracles import (
+    regularity_flags_by_enumeration,
+    report_flags_by_definition,
+    thresholds_by_definition,
+)
 
 
 def _samples(structure, seed, count=30, grid=10):
@@ -310,10 +319,8 @@ def test_regularity_characterization_non_regular():
     assert rep.agree and rep.condition_flags == (False, False)
 
 
-def test_regular_not_intra_regular_separates_the_regularity_reports():
-    # the Brandt semigroup B2 is regular but not intra-regular (e12 e12 = 0):
-    # its bi-ideals satisfy A S A = A but not all A A = A, which no n <= 3
-    # structure shows
+def _brandt():
+    """The Brandt semigroup B2 on 0 and the matrix units e_ij."""
     names = ["0", "e11", "e12", "e21", "e22"]
     unit = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
     index = {ij: x for x, ij in unit.items()}
@@ -323,13 +330,54 @@ def test_regular_not_intra_regular_separates_the_regularity_reports():
             return 0
         return index[(unit[x][0], unit[y][1])]
 
-    s = validate_structure(names, ["g"], [[[mul(x, y) for y in range(5)]] for x in range(5)])
+    return validate_structure(names, ["g"], [[[mul(x, y) for y in range(5)]] for x in range(5)])
+
+
+def test_regular_not_intra_regular_separates_the_regularity_reports():
+    # the Brandt semigroup B2 is regular but not intra-regular (e12 e12 = 0):
+    # its bi-ideals satisfy A S A = A but not all A A = A, which no n <= 3
+    # structure shows
+    s = _brandt()
     reg = report_regularity_characterization(s)
     intra = report_regular_intra_characterization(s)
     assert reg.agree and reg.condition_flags == (True, True)
     assert intra.agree and intra.condition_flags == (False, False, False)
     assert reg.condition_flags == report_flags_by_definition("thm4.28", s, [])
     assert intra.condition_flags == report_flags_by_definition("thm4.29", s, [])
+
+
+def _factor_pairs(k: int) -> list:
+    """Factor pairs for direct products of n <= 3 structures with k operation
+    symbols, n <= 9: every 2 x 2 pair, and a stride through 2 x 3 and 3 x 3."""
+    twos, threes = exhaustive(2, k), exhaustive(3, k)
+    return (
+        list(product(twos, twos))
+        + list(product(twos, threes[::11 * k]))
+        + list(product(threes[::23 * k], threes[5::29 * k]))
+    )
+
+
+def test_regularity_reports_match_bi_ideal_enumeration():
+    # both reports without samples give the flags of the set identities over
+    # every crisp bi-ideal of the 2^n subset scan
+    structures = [s for n, k in product((1, 2, 3), (1, 2)) for s in exhaustive(n, k)]
+    structures += [mod_surrogate(n).structure for n in range(2, 17)] + [_brandt()]
+    pairs = _factor_pairs(1) + _factor_pairs(2)
+    structures += [direct_product(a, b) for a, b in pairs]
+    seen = set()
+    for s in structures:
+        flags = (
+            report_regularity_characterization(s).condition_flags,
+            report_regular_intra_characterization(s).condition_flags,
+        )
+        assert flags == regularity_flags_by_enumeration(s), s.cayley
+        seen.add(flags)
+    # all true, all false, and B2's regular but not intra-regular flags
+    assert len(seen) == 3
+    # some k = 2 products of regular factors are not regular: both
+    # coordinates of a b x c a must use the same operation symbols
+    lost = [p for p in pairs if all(map(is_regular, p)) and not is_regular(direct_product(*p))]
+    assert lost and {a.k for a, _ in lost} == {2}
 
 
 def test_samples_and_pairs_on_other_structures_rejected(ex34, ex427):
