@@ -11,6 +11,9 @@ on the crisp ones: functions capped at 1/2 are equal when their cuts at every
 t <= 1/2 are, the cuts of o05 products and of cap05 are the Gamma products and
 intersections of the cuts U(mu; t), and those of an (in, in-or-q) bi-ideal
 are crisp bi-ideals (thm3.5(5)), whose characteristic functions are ones.
+The bi-ideals <X> = X | X Gamma X | X Gamma S Gamma X, |X| <= 2, decide both:
+<X> is the least bi-ideal holding X, so an element that breaks an identity on
+some A, B breaks it on the <X> of the one or two elements involved.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .structure import (
     GammaSemigroup,
     Homomorphism,
     _gamma_product,
-    enumerate_crisp,
     is_bi_ideal,
     is_intra_regular,
     is_regular,
@@ -206,26 +208,28 @@ def is_f_invariant(mu: FuzzySubset, f: Homomorphism) -> bool:
 
 
 def _bi_ideals(s: GammaSemigroup, samples: Iterable[FuzzySubset]) -> list[frozenset]:
-    """The crisp bi-ideals of s, once each sample is vetted in turn: over s,
-    non-zero, and with every non-empty cut at r <= 1/2 among them (thm3.5(5))."""
-    bis = enumerate_crisp(s, "bi_ideal")
-    known = set(bis)
+    """The bi-ideals <X>, 1 <= |X| <= 2, in first-seen order, once each sample
+    is vetted: over s, non-zero, every non-empty cut at r <= 1/2 a bi-ideal."""
+    gens = (frozenset((x, y)) for x in range(s.n) for y in range(x, s.n))
+    known = dict.fromkeys(
+        g.union(_gamma_product(s, g, g), *(s.sandwiches[u][v] for u in g for v in g)) for g in gens
+    )
     for mu in samples:
         if mu.structure != s:
             raise StructureMismatch("sample does not live over the structure")
         if mu.is_zero:
             raise EmptyFuzzySubset("the zero fuzzy subset is excluded")
-        if not _cuts_are(mu, lambda _, cut: cut in known):
+        if not _cuts_are(mu, lambda _, cut: cut in known or is_bi_ideal(s, cut)):
             raise SampleNotBiIdeal(f"sample with grades {_grades_detail(mu)}")
-    return bis
+    return list(known)
 
 
 def report_regularity_characterization(
     s: GammaSemigroup, fuzzy_samples: Iterable[FuzzySubset] = ()
 ) -> TheoremReport:
     """thm4.28: regular iff mu o05 1 o05 mu = mu meet 0.5_S for bi-ideals mu,
-    decided as A Gamma S Gamma A = A on the crisp bi-ideals A.  The samples
-    are only vetted: they cannot change a flag."""
+    decided as A Gamma S Gamma A = A on the crisp bi-ideals A = <X>, |X| <= 2.
+    The samples are only vetted: they cannot change a flag."""
     equal = all(
         {w for x in a for z in a for w in s.sandwiches[x][z]} == a
         for a in _bi_ideals(s, fuzzy_samples)
@@ -234,9 +238,9 @@ def report_regularity_characterization(
 
 
 def report_regular_intra_characterization(
-    s: GammaSemigroup, fuzzy_samples: Sequence[FuzzySubset] = ()
+    s: GammaSemigroup, fuzzy_samples: Iterable[FuzzySubset] = ()
 ) -> TheoremReport:
-    """thm4.29: regular and intra-regular iff (2) iff (3).
+    """thm4.29: regular and intra-regular iff (2) iff (3), on the <X>, |X| <= 2.
 
     (2) mu o05 mu = mu meet 0.5_S for every bi-ideal mu: A Gamma A = A;
     (3) mu cap05 nu = (mu o05 nu) cap05 (nu o05 mu) for every pair of them:

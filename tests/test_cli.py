@@ -423,6 +423,17 @@ def test_cli_theorems(tmp_path, capsys, monkeypatch):
     assert "thm4.29 discrepancy: (2,) n=3 k=1\n" in out
 
 
+def test_cli_theorems_past_the_subset_scan_cap(tmp_path, capsys):
+    # thm4.28 and thm4.29 generate their bi-ideals, so Z_17 is no usage error
+    text = print_document(document_for(mod_surrogate(17).structure)) + "fuzzy mu 0=1/2 1=1/4\n"
+    path = _write(tmp_path, "mod17.gsf", text)
+    code, out = _run(capsys, ["theorems", path, "--fuzzy", "mu"])
+    assert code == 0
+    assert sum(line.endswith(": agree") for line in out.splitlines()) == 8
+    assert "thm4.28 flags: true true\n" in out
+    assert "thm4.29 flags: true true true\n" in out
+
+
 def test_cli_theorems_bad_grid_or_samples_is_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "ex34.gsf", EX34_TEXT)
     for flags in (["--grid", "0"], ["--grid", "-1"], ["--samples", "-3"]):

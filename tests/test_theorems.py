@@ -27,7 +27,7 @@ from gsfuzz import (
     validate_homomorphism,
     validate_structure,
 )
-from gsfuzz.errors import CarrierTooLarge, EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
+from gsfuzz.errors import EmptyFuzzySubset, SampleNotBiIdeal, StructureMismatch
 from gsfuzz import predicates, theorems
 from gsfuzz.fuzzy import HALF
 from gsfuzz.search import (
@@ -346,6 +346,20 @@ def test_regular_not_intra_regular_separates_the_regularity_reports():
     assert intra.condition_flags == report_flags_by_definition("thm4.29", s, [])
 
 
+def test_generated_bi_ideals_are_the_least_holding_one_or_two_elements():
+    # the regularity reports run over the least crisp bi-ideal holding X, for
+    # every 1 <= |X| <= 2, each listed once in the order its X first comes
+    structures = [s for n, k in product((1, 2, 3), (1, 2)) for s in exhaustive(n, k)]
+    structures += [mod_surrogate(n).structure for n in range(2, 13)] + [_brandt()]
+    for s in structures:
+        bis = enumerate_crisp(s, "bi_ideal")
+        least = [
+            frozenset.intersection(*(b for b in bis if {x, y} <= b))
+            for x in range(s.n) for y in range(x, s.n)
+        ]
+        assert theorems._bi_ideals(s, ()) == list(dict.fromkeys(least)), s.cayley
+
+
 def _factor_pairs(k: int) -> list:
     """Factor pairs for direct products of n <= 3 structures with k operation
     symbols, n <= 9: every 2 x 2 pair, and a stride through 2 x 3 and 3 x 3."""
@@ -374,8 +388,8 @@ def test_regularity_reports_match_bi_ideal_enumeration():
         seen.add(flags)
     # all true, all false, and B2's regular but not intra-regular flags
     assert len(seen) == 3
-    # some k = 2 products of regular factors are not regular: both
-    # coordinates of a b x c a must use the same operation symbols
+    # some k = 2 products of regular factors are not regular: a = a g x h a
+    # must hold with the same g, h in both coordinates
     lost = [p for p in pairs if all(map(is_regular, p)) and not is_regular(direct_product(*p))]
     assert lost and {a.k for a, _ in lost} == {2}
 
@@ -395,15 +409,18 @@ def test_regularity_rejects_non_bi_ideal_sample(ex34):
         report_regularity_characterization(ex34.structure, [failing])
 
 
-def test_regularity_reports_enumerate_before_vetting():
-    # past the n <= 16 subset-scan cap the reports refuse the carrier before
-    # they look at a sample, so a bad sample reports CarrierTooLarge
+def test_regularity_reports_have_no_carrier_cap():
+    # the reports generate their bi-ideals and scan no 2^n subsets, so Z_17
+    # (past the n <= 16 cap of enumerate_crisp) is decided, and a bad sample
+    # is refused as a sample
     s = mod_surrogate(17).structure
     bad = FuzzySubset.from_mapping(s, {"1": 1})  # 1 5 1 = 5 has grade 0
     assert not is_eq_bi_ideal(bad).holds
     for report in (report_regularity_characterization, report_regular_intra_characterization):
-        with pytest.raises(CarrierTooLarge, match=r"^2\^17 subset scan exceeds the cap"):
+        with pytest.raises(SampleNotBiIdeal, match=r"^sample with grades 0 1( 0){15}$"):
             report(s, [bad])
+    assert report_regularity_characterization(s).condition_flags == (True, True)
+    assert report_regular_intra_characterization(s).condition_flags == (True, True, True)
 
 
 def test_regular_intra_characterization(ex427, ex34):
