@@ -19,12 +19,14 @@ directive line before the n-th row is a short table.  Names are single tokens
 without '=', '#' or ':'.  Grades accept p/q or decimal literals, both parsed
 exactly; fuzzy lines may omit elements, which default to grade 0.
 
-``gsf search --count`` defaults to 20 random structures, or all with --exhaustive;
---count 0 also means all, so it needs --exhaustive.
+``gsf search`` reads the corpus of every associative n-element, k-gamma
+cube (n <= 3, at most 8^6 candidate cubes): --count defaults to 20 seeded
+draws from it, or all of it in order with --exhaustive; --count 0 also means
+all, so it needs --exhaustive.  ``gsf theorems --samples`` defaults to 0: the
+samples cannot change a flag.
 
 Exit codes: 0 success, 1 --expect mismatch, 2 usage or parse error (an
-all-zero fuzzy subset and a hit subset-scan cap or sampling budget
-included), 3 invalid structure.
+all-zero fuzzy subset and a hit cap included), 3 invalid structure.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import TYPE_CHECKING
 # so a gsf process loads only what its subcommand needs.
 from .errors import (
     BadRational,
-    BudgetExhausted,
     CarrierTooLarge,
     DocumentError,
     DocumentSyntaxError,
@@ -426,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_theorems)
     p.add_argument("file")
     p.add_argument("--fuzzy", required=True)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grid", type=int, default=10)
 
@@ -469,9 +470,9 @@ def run(argv: list) -> int:
         print(f"error: {exc}")
         return 2
     except GsfError as exc:
-        # A cap or budget is a limit of the run, not a fault of the structure.
+        # A cap is a limit of the run, not a fault of the structure.
         print(f"error: {exc.__class__.__name__}: {exc}")
-        return 2 if isinstance(exc, (CarrierTooLarge, BudgetExhausted)) else 3
+        return 2 if isinstance(exc, CarrierTooLarge) else 3
     for line in lines:
         print(line)
     return code

@@ -43,7 +43,7 @@ class IndexOutOfRange(GsfError):
 
 
 class CarrierTooLarge(GsfError):
-    """A 2^n subset scan would exceed the enumeration cap."""
+    """A 2^n subset scan, or the structure corpus of a shape, exceeds its cap."""
 
 
 class GammaMismatch(GsfError):
@@ -101,10 +101,6 @@ class SampleNotBiIdeal(GsfError):
 
 
 # -------------------------------------------------------------------- search
-
-class BudgetExhausted(GsfError):
-    """Rejection sampling hit its attempt cap before producing enough output."""
-
 
 class UnknownPredicateName(GsfError, ValueError):
     """A predicate name or --want expression outside the vocabulary."""

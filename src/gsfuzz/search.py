@@ -2,11 +2,11 @@
 
 Pseudo-random generation uses SplitMix64 (Steele-Lea-Flood mixing, 64-bit),
 implemented here so that every seeded stream is bit-identical across
-platforms and Python versions.  Structures come from one filter loop over
-either every cube in lexicographic order or seeded random cubes.  Scan orders
-are pinned: structures in generation order, fuzzy subsets in
-grid-lexicographic order over the grade vector, elements in declaration
-order.
+platforms and Python versions.  Structures come from one corpus, every
+associative cube of a shape in lexicographic order, read in order or by
+seeded draws.  Scan orders are pinned: structures in generation order, fuzzy
+subsets in grid-lexicographic order over the grade vector, elements in
+declaration order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice, product, tee
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
+from .errors import CarrierTooLarge, UnknownPredicateName
 from .fuzzy import FuzzySubset
 from .predicates import _resolve_predicate
 from .structure import Cube, GammaSemigroup, _assoc_failure, validate_structure
@@ -119,53 +119,50 @@ def _names(n: int, k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _all_cubes(n: int, k: int) -> Iterator[Cube]:
-    """Every cube whose operations are each associative, in lexicographic order."""
-    if n > 3 or k > 2:
-        raise CarrierTooLarge("exhaustive enumeration is limited to n <= 3, k <= 2")
+    """Every associative n x k x n cube, in lexicographic order.
+
+    Only tables associative on their own are combined, at most 8^6 candidate
+    cubes of them: so n <= 3, with any k at n = 1, k <= 6 at n = 2 and
+    k <= 2 at n = 3.
+    """
+    if n > 3:
+        raise CarrierTooLarge("structure generation is limited to n <= 3")
     rows = list(product(range(n), repeat=n))
-    # each operation alone must be associative, so only those tables are combined
     singles = [t for t in product(rows, repeat=n) if _assoc_failure(tuple(zip(t))) is None]
-    for tabs in product(singles, repeat=k):
-        yield tuple(zip(*tabs))
-
-
-def _random_cubes(config: GeneratorConfig, budget: int) -> Iterator[Cube]:
-    """budget n x k x n cubes drawn from SplitMix64(seed), cell by cell."""
-    n, k = config.n, config.k
-    rng = SplitMix64(config.seed)
-    for _ in range(budget):
-        yield tuple(
-            tuple(tuple(rng.below(n) for _ in range(n)) for _ in range(k))
-            for _ in range(n)
+    if len(singles) ** k > 8 ** 6:
+        raise CarrierTooLarge(
+            "structure generation is limited to 8^6 candidate cubes; "
+            f"n={n}, k={k} has {len(singles)}^{k}"
         )
+    for tabs in product(singles, repeat=k):
+        cube = tuple(zip(*tabs))
+        if _assoc_failure(cube) is None:
+            yield cube
 
 
 def generate_structures(
-    config: GeneratorConfig, *, exhaustive: bool = False, budget: int = 10 ** 6
+    config: GeneratorConfig, *, exhaustive: bool = False
 ) -> Iterator[GammaSemigroup]:
     """Stream of validated structures, deterministic for a given config.
 
-    Random mode draws n x k x n cubes from SplitMix64(seed) and keeps the
-    associative ones (rejection); duplicates are possible, and count must be
-    at least 1.  Exhaustive mode enumerates all cubes in lexicographic order
-    (n <= 3, k <= 2); there count = 0 means the whole corpus.
+    Both modes read the corpus of every associative cube of the shape, in
+    lexicographic order (_all_cubes).  Exhaustive mode yields it in that
+    order, the first count structures, or all of it when count = 0.  Random
+    mode yields count draws, uniform with replacement, of SplitMix64(seed)
+    indices into it, so count must be at least 1.  Drawing uniform cubes
+    and keeping the associative ones would give the same distribution.
     """
-    if exhaustive:
-        cubes = _all_cubes(config.n, config.k)
-    elif config.count < 1:
+    if not exhaustive and config.count < 1:
         raise ValueError("random generation needs count >= 1")
-    else:
-        cubes = _random_cubes(config, budget)
     elements, gammas = _names(config.n, config.k)
-    emitted = 0
+    if exhaustive:
+        cubes = islice(_all_cubes(config.n, config.k), config.count or None)
+    else:
+        corpus = list(_all_cubes(config.n, config.k))
+        rng = SplitMix64(config.seed)
+        cubes = (corpus[rng.below(len(corpus))] for _ in range(config.count))
     for cube in cubes:
-        if _assoc_failure(cube) is None:
-            yield GammaSemigroup(elements, gammas, cube)
-            emitted += 1
-            if emitted == config.count:
-                return
-    if not exhaustive:
-        raise BudgetExhausted(f"{budget} rejection attempts produced {emitted}/{config.count}")
+        yield GammaSemigroup(elements, gammas, cube)
 
 
 def _grid_vectors(n: int, grid: int) -> Iterator[tuple[int, ...]]:

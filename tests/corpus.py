@@ -1,8 +1,7 @@
 """Seeded structure corpora shared by the test modules.
 
-Random cube rejection cannot reach carrier size 4 (associative 4x4 tables
-have density ~8e-7 among all tables), so the n=4 part of the corpus is
-built from constructions that are associative by design: direct products of
+Structure generation stops at carrier size 3, so the n=4 part of the
+corpus is built from constructions that are associative by design: direct products of
 2-element semigroups, modular gamma-multiplication carriers, and seeded
 relabelings of both.  Everything is deterministic for a fixed seed.
 """

@@ -401,8 +401,12 @@ def test_cli_caps_are_usage_errors(tmp_path, capsys):
     code, out = _run(capsys, ["enumerate", path, "--kind", "bi_ideal"])
     assert code == 2
     assert out == "error: CarrierTooLarge: 2^17 subset scan exceeds the cap (n <= 16)\n"
-    code, out = _run(capsys, ["search", "--want", "eq_subsemigroup", "--n", "4", "--exhaustive"])
-    assert code == 2 and out.startswith("error: CarrierTooLarge: ")
+    # a shape past the structure corpus is refused in both modes, before any scan
+    for mode in (["--exhaustive"], ["--k", "2"]):
+        code, out = _run(capsys, ["search", "--want", "fuzzy_subsemigroup AND NOT eq_subsemigroup",
+                                  "--n", "4", *mode])
+        assert code == 2, mode
+        assert out == "error: CarrierTooLarge: structure generation is limited to n <= 3\n", mode
 
 
 def test_cli_theorems(tmp_path, capsys, monkeypatch):
@@ -460,6 +464,14 @@ def test_cli_search(capsys):
     # only the exhaustive corpus has a whole to scan, so random mode needs a count
     code, out = _run(capsys, ["search", "--want", "eq_subsemigroup", "--n", "3", "--count", "0"])
     assert code == 2 and out == "error: random generation needs count >= 1\n"
+
+
+def test_cli_random_search_reads_the_corpus(capsys):
+    # the README example: 20 seeded draws from the 413 structures of n = 3, k = 2
+    code, out = _run(capsys, ["search", "--want", "eq_ideal AND NOT eq_bi_ideal",
+                              "--n", "3", "--k", "2", "--grid", "2"])
+    assert code == 0
+    assert "structures_scanned: 20\nsubsets_scanned: 520\nfound: false\n" in out
 
 
 def test_cli_search_out_of_range_flag_is_usage_error(capsys):

@@ -13,7 +13,7 @@ from gsfuzz import (
     mod_surrogate,
     validate_structure,
 )
-from gsfuzz.errors import BudgetExhausted, CarrierTooLarge, UnknownPredicateName
+from gsfuzz.errors import CarrierTooLarge, UnknownPredicateName
 from gsfuzz.predicates import _resolve_predicate
 from gsfuzz.search import (
     GeneratorConfig,
@@ -29,9 +29,9 @@ from gsfuzz.search import (
 from corpus import exhaustive
 from oracles import find_witness_by_definition
 
-# seeded-stream goldens, frozen from the first recorded run
+# seeded-stream goldens: random structures are draws from the exhaustive corpus
 GEN_N3_SEED42 = [
-    "010111010", "000000001", "111111012", "000222222", "002002220",
+    "222111222", "121212121", "000212222", "201012120", "112112221",
 ]
 FUZZ_EX34_SEED7 = [
     ("1/5", "0", "0"), ("0", "7/10", "7/10"), ("1/10", "9/10", "1/5"),
@@ -44,7 +44,7 @@ EXHAUSTIVE_SHA256 = {
 EXHAUSTIVE_FULL_SHA256 = {
     (2, 2): "1df667b930a94729", (3, 1): "9fbe00e1978b9fa0", (3, 2): "6927b294174e59d1",
 }
-GEN_N2_K2_SEED9 = ["01010101", "11011111", "01101001", "10100101", "10100101", "10010110"]
+GEN_N2_K2_SEED9 = ["00000100", "00000100", "01011010", "00000000", "01010101", "01011111"]
 SPLITMIX_SEED0 = [
     16294208416658607535, 7960286522194355700, 487617019471545679,
 ]
@@ -92,8 +92,12 @@ def test_exhaustive_counts():
 
     assert count(1, 1) == 1
     assert count(1, 2) == 1
+    assert count(1, 3) == 1
     assert count(2, 1) == 8    # associative binary magmas on 2 elements
     assert count(2, 2) == 14
+    assert count(2, 3) == 26
+    assert count(2, 4) == 50
+    assert count(2, 5) == 98
     assert count(3, 1) == 113
     assert count(3, 2) == 413
     # the emission order is pinned too: callers take prefixes of these streams
@@ -126,10 +130,27 @@ def test_generate_structures_all_valid():
         assert validate_structure(s.elements, s.gammas, s.cayley) == s
 
 
-def test_generate_structures_budget():
-    with pytest.raises(BudgetExhausted) as exc:
-        list(generate_structures(GeneratorConfig(n=3, k=1, seed=1, count=5), budget=20))
-    assert str(exc.value) == "20 rejection attempts produced 0/5"
+def test_random_structures_are_draws_from_the_corpus():
+    for n, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        corpus = {s.cayley for s in exhaustive(n, k)}
+        drawn = generate_structures(GeneratorConfig(n=n, k=k, seed=3, count=50))
+        assert {s.cayley for s in drawn} <= corpus, (n, k)
+    # uniform with replacement: 800 draws reach every one of the 8 structures
+    drawn = generate_structures(GeneratorConfig(n=2, k=1, seed=1, count=800))
+    assert len({s.cayley for s in drawn}) == 8
+
+
+@pytest.mark.parametrize("in_order", [False, True])
+def test_generation_cap(in_order):
+    for n, k, message in (
+        (4, 1, "structure generation is limited to n <= 3"),
+        (3, 3, "structure generation is limited to 8^6 candidate cubes; n=3, k=3 has 113^3"),
+        (2, 7, "structure generation is limited to 8^6 candidate cubes; n=2, k=7 has 8^7"),
+    ):
+        stream = generate_structures(GeneratorConfig(n=n, k=k, count=1), exhaustive=in_order)
+        with pytest.raises(CarrierTooLarge) as exc:
+            next(stream)
+        assert str(exc.value) == message
 
 
 def test_random_fuzzy_deterministic(ex34):
